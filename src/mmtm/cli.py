@@ -166,7 +166,12 @@ def cmd_train(args) -> int:
                     result.trained.params, result.trained.vocab)
     (out_dir / "trainlog_finetune.jsonl").write_text(
         result.finetune_log.to_jsonl(), encoding="utf-8")
-    print(f"trained on {len(load.records)} records; artifacts in {out_dir}")
+    if load.quarantined or result.quarantined:
+        print(f"warning: {len(load.quarantined)} record(s) quarantined at load, "
+              f"{len(result.quarantined)} over the model length limits",
+              file=sys.stderr)
+    print(f"trained on {len(load.records) - len(result.quarantined)} records; "
+          f"artifacts in {out_dir}")
     return EXIT_OK
 
 
@@ -181,9 +186,10 @@ def cmd_eval(args) -> int:
     if args.attention_out:
         att_dir = Path(args.attention_out)
         att_dir.mkdir(parents=True, exist_ok=True)
-        for record in load.records:
-            evaluate.export_attention(trained, record,
-                                      path=att_dir / f"{record.id}.json")
+        for record, verdict in zip(load.records, report.verdicts):
+            if verdict.failure_reason != evaluate.INPUT_TOO_LONG:
+                evaluate.export_attention(trained, record,
+                                          path=att_dir / f"{record.id}.json")
     print(report.render_table())
     return EXIT_OK
 

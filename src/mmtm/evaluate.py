@@ -3,8 +3,16 @@ attention export.
 
 A prediction is correct when the greedily decoded pre-order label rebuilds
 into a tree whose evaluation matches the gold answer within a relative
-tolerance of 1e-4 (floored at absolute 1e-4). Malformed decodes and runtime
-evaluation failures count as incorrect; they never abort a run.
+tolerance of 1e-4 (floored at absolute 1e-4). Decoding is batched and cached:
+`score` hands every record to one `model.greedy_decode` call, which encodes
+`model.DECODE_CHUNK` questions at a time and grows each label one position
+per step against cached attention keys and values. Attention export reads the cross-attention
+weights from that same single pass.
+
+Every miss carries a failure reason: `input_too_long` (the question exceeds
+the model's `max_src_len` and is never decoded), `decode_malformed` (the
+label does not rebuild into a tree), `eval_error` (the tree cannot be
+evaluated, e.g. division by zero) or `wrong_answer`. Misses never abort a run.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from .dataset import BOS, MwpRecord, tokenize
 from .expr import TraversalVariant
 
 ANSWER_RTOL = Fraction(1, 10000)
+INPUT_TOO_LONG = "input_too_long"
 
 COHORT_ROWS = ("Full Set", "One-Op", "Two-Op", "ADD", "SUB", "MUL", "DIV")
 _OP_COHORTS = {"ADD": "+", "SUB": "-", "MUL": "*", "DIV": "/"}
@@ -43,7 +52,8 @@ class Verdict:
     reconstructed_ok: bool
     predicted_answer: Optional[str]
     correct: bool
-    failure_reason: Optional[str]  # decode_malformed | eval_error | wrong_answer
+    # input_too_long | decode_malformed | eval_error | wrong_answer
+    failure_reason: Optional[str]
 
 
 @dataclass
@@ -85,12 +95,15 @@ def answers_match(predicted: Fraction, gold: Fraction) -> bool:
     return abs(predicted - gold) <= tol
 
 
-def predict_answer(trained: TrainedModel, record: MwpRecord):
-    """Greedy pre-order decode, rebuild, evaluate. Returns (answer|None, Verdict)."""
-    vocab = trained.vocab
-    src = vocab.encode_src(tokenize(record.masked_question))
-    ids = model.greedy_decode(trained.params, TraversalVariant.PRE_ORDER, src,
-                              max_len=trained.config.max_tgt_len - 2)
+def _decode(trained: TrainedModel, task: TraversalVariant, sources: list[list[int]],
+            cross_trace: Optional[list] = None) -> list[list[int]]:
+    return model.greedy_decode(trained.params, task, sources,
+                               max_len=trained.config.max_tgt_len - 2,
+                               cross_trace=cross_trace)
+
+
+def _judge(vocab, record: MwpRecord, ids: list[int]):
+    """Rebuild and evaluate one decoded pre-order label: (answer|None, Verdict)."""
     tokens = vocab.decode_tgt([BOS] + ids)
     try:
         tree = expr.tree_from_preorder(tokens)
@@ -106,12 +119,30 @@ def predict_answer(trained: TrainedModel, record: MwpRecord):
                            ok, None if ok else "wrong_answer")
 
 
+def _predict(trained: TrainedModel, records: list[MwpRecord]) -> list[tuple]:
+    """(answer|None, Verdict) per record, in order. Questions longer than
+    max_src_len get an input_too_long verdict and never reach the encoder."""
+    vocab = trained.vocab
+    sources = [vocab.encode_src(tokenize(r.masked_question)) for r in records]
+    fits = [i for i, src in enumerate(sources)
+            if len(src) <= trained.config.max_src_len]
+    decoded = dict(zip(fits, _decode(trained, TraversalVariant.PRE_ORDER,
+                                     [sources[i] for i in fits])))
+    return [_judge(vocab, record, decoded[i]) if i in decoded
+            else (None, Verdict(record.id, [], False, None, False, INPUT_TOO_LONG))
+            for i, record in enumerate(records)]
+
+
+def predict_answer(trained: TrainedModel, record: MwpRecord):
+    """Greedy pre-order decode, rebuild, evaluate. Returns (answer|None, Verdict)."""
+    return _predict(trained, [record])[0]
+
+
 def score(trained: TrainedModel, records: list[MwpRecord]) -> EvalReport:
     """Answer accuracy over records plus one-op/two-op and operator cohorts."""
     verdicts = []
     cohorts = {row: {"count": 0, "correct": 0} for row in COHORT_ROWS}
-    for record in records:
-        _, verdict = predict_answer(trained, record)
+    for record, (_, verdict) in zip(records, _predict(trained, records)):
         verdicts.append(verdict)
         rows = ["Full Set"]
         if record.op_count == 1:
@@ -151,23 +182,19 @@ def export_attention(trained: TrainedModel, record: MwpRecord,
                      task: TraversalVariant = TraversalVariant.PRE_ORDER,
                      path: Optional[str | Path] = None) -> dict:
     """Aggregate cross-attention mass each source token received over a full
-    greedy decode (mean over layers and heads, summed over decode steps)."""
+    greedy decode (mean over layers and heads, summed over decode steps). The
+    steps are BOS and every predicted token, so the weights sum to
+    `decode_steps`; the label and the weights come from one cached decode."""
     vocab = trained.vocab
     tokens = tokenize(record.masked_question)
-    src = vocab.encode_src(tokens)
-    ids = model.greedy_decode(trained.params, task, src,
-                              max_len=trained.config.max_tgt_len - 2)
-    states, _ = model.encode(trained.params, src)
-    prefix = [BOS] + ids
-    _, trace = model.decode_step(trained.params, task, states, prefix,
-                                 capture_attention=True)
-    stacked = np.stack(trace.cross)  # (layers, heads, steps, src)
-    per_token = stacked.mean(axis=(0, 1)).sum(axis=0)
+    trace: list[np.ndarray] = []
+    [ids] = _decode(trained, task, [vocab.encode_src(tokens)], cross_trace=trace)
+    per_token = trace[0].mean(axis=(0, 1)).sum(axis=0)  # (layers, heads, steps, src)
     report = {
         "record_id": record.id,
         "tokens": tokens,
         "weights": [float(w) for w in per_token],
-        "decode_steps": len(prefix),
+        "decode_steps": len(ids) + 1,
         "predicted_label": vocab.decode_tgt([BOS] + ids),
     }
     if path is not None:

@@ -31,6 +31,9 @@ from .expr import TraversalVariant
 TASKS = ("pre", "in", "post")
 _LN_EPS = 1e-5
 _NEG = -1e30
+# Sources per greedy-decode batch. It bounds the encoder activations and K/V
+# caches held at once; 32 rows decode as fast as 64 at a lower peak RSS.
+DECODE_CHUNK = 32
 
 
 class ModelError(Exception):
@@ -269,25 +272,30 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
 
 
-def _mha_fwd(params, name, x_q, x_kv, n_heads, add_mask, drop_p, rng, trace_list):
-    t = params.tensors
-    q = _split_heads(x_q @ t[f"{name}.wq"], n_heads)
-    k = _split_heads(x_kv @ t[f"{name}.wk"], n_heads)
-    v = _split_heads(x_kv @ t[f"{name}.wv"], n_heads)
-    scale = 1.0 / math.sqrt(q.shape[-1])
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * scale
+def _attend(q, k, v, add_mask):
+    """Scaled dot-product softmax attention over split heads (B, h, T, dk);
+    returns the merged context (B, Tq, d) and the weights (B, h, Tq, Tk)."""
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(q.shape[-1]))
     if add_mask is not None:
         scores = scores + add_mask
     scores -= scores.max(-1, keepdims=True)
     e = np.exp(scores)
     attn = e / e.sum(-1, keepdims=True)
+    return _merge_heads(np.matmul(attn, v)), attn
+
+
+def _mha_fwd(params, name, x_q, x_kv, n_heads, add_mask, drop_p, rng, trace_list):
+    t = params.tensors
+    q = _split_heads(x_q @ t[f"{name}.wq"], n_heads)
+    k = _split_heads(x_kv @ t[f"{name}.wk"], n_heads)
+    v = _split_heads(x_kv @ t[f"{name}.wv"], n_heads)
+    ctx, attn = _attend(q, k, v, add_mask)
     if trace_list is not None:
         trace_list.append(attn[0].copy())
-    ctx = _merge_heads(np.matmul(attn, v))
     out = ctx @ t[f"{name}.wo"]
     out, keep = _dropout_fwd(out, drop_p, rng)
     cache = {"name": name, "x_q": x_q, "x_kv": x_kv, "q": q, "k": k, "v": v,
-             "attn": attn, "ctx": ctx, "scale": scale, "keep": keep, "h": n_heads}
+             "attn": attn, "ctx": ctx, "keep": keep, "h": n_heads}
     return out, cache
 
 
@@ -301,7 +309,7 @@ def _mha_bwd(dout, cache, params, grads):
     dattn = np.matmul(dctx, v.transpose(0, 1, 3, 2))
     dv = np.matmul(attn.transpose(0, 1, 3, 2), dctx)
     dscores = attn * (dattn - (dattn * attn).sum(-1, keepdims=True))
-    dscores *= cache["scale"]
+    dscores *= 1.0 / math.sqrt(q.shape[-1])
     dq = np.matmul(dscores, k)
     dk = np.matmul(dscores.transpose(0, 1, 3, 2), q)
     dqm, dkm, dvm = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
@@ -337,7 +345,8 @@ def _ffn_bwd(dout, cache, params, grads):
 def _sublayer_fwd(kind, params, name_ln, x, fwd, caches):
     normed, ln_cache = _ln_fwd(x, params[f"{name_ln}.g"], params[f"{name_ln}.b"])
     out, sub_cache = fwd(normed)
-    caches.append((kind, name_ln, ln_cache, sub_cache))
+    if caches is not None:
+        caches.append((kind, name_ln, ln_cache, sub_cache))
     return x + out
 
 
@@ -359,8 +368,18 @@ def _check_ids(ids, vocab_size, max_len, what):
     return ids
 
 
-def encode_batch(params: ParamStore, src_ids, rng=None, trace: AttentionTrace | None = None):
-    """Forward the shared encoder over a padded batch; returns states and tape."""
+def _decoder_key(params: ParamStore, task) -> str:
+    key = task_key(task)
+    if f"dec.{key}.tgt_embed" not in params.tensors:
+        raise UnknownTask(f"decoder {key!r} not present in this ParamStore")
+    return key
+
+
+def encode_batch(params: ParamStore, src_ids, rng=None, trace: AttentionTrace | None = None,
+                 keep_caches: bool = True):
+    """Forward the shared encoder over a padded batch; returns states and tape.
+    Without `keep_caches` the tape holds no sublayer caches, so encode_bwd
+    cannot run on it, but the activations are freed as the pass goes."""
     cfg = params.config
     src_ids = _check_ids(src_ids, cfg.src_vocab_size, cfg.max_src_len, "source")
     mask = src_ids != PAD
@@ -371,7 +390,7 @@ def encode_batch(params: ParamStore, src_ids, rng=None, trace: AttentionTrace | 
         src_ids.shape[1], cfg.d_model, dt
     )[None]
     add_mask = np.where(mask, 0.0, _NEG).astype(dt)[:, None, None, :]
-    caches = []
+    caches = [] if keep_caches else None
     drop = cfg.dropout
     tl = trace.enc_self if trace is not None else None
     for i in range(cfg.n_enc_layers):
@@ -395,9 +414,7 @@ def decode_batch(params: ParamStore, task, states, src_mask, tgt_ids, rng=None,
                  trace: AttentionTrace | None = None):
     """Forward one task decoder over a padded target prefix batch."""
     cfg = params.config
-    key = task_key(task)
-    if f"dec.{key}.tgt_embed" not in params.tensors:
-        raise UnknownTask(f"decoder {key!r} not present in this ParamStore")
+    key = _decoder_key(params, task)
     tgt_ids = _check_ids(tgt_ids, cfg.tgt_vocab_size, cfg.max_tgt_len, "target")
     dt = cfg.np_dtype
     t_len = tgt_ids.shape[1]
@@ -520,27 +537,6 @@ def loss(logits: np.ndarray, gold_target_ids: Sequence[int]) -> float:
     return value
 
 
-# ---------------------------------------------------------------------------
-# public single-example surface
-# ---------------------------------------------------------------------------
-
-
-def encode(params: ParamStore, source_ids: Sequence[int],
-           capture_attention: bool = False):
-    trace = AttentionTrace() if capture_attention else None
-    states, _ = encode_batch(params, np.asarray(source_ids)[None], trace=trace)
-    return states[0], trace
-
-
-def decode_step(params: ParamStore, task, encoder_states: np.ndarray,
-                target_prefix_ids: Sequence[int], capture_attention: bool = False):
-    trace = AttentionTrace() if capture_attention else None
-    src_mask = np.ones((1, encoder_states.shape[0]), dtype=bool)
-    logits, _ = decode_batch(params, task, encoder_states[None], src_mask,
-                             np.asarray(target_prefix_ids)[None], trace=trace)
-    return logits[0], trace
-
-
 def loss_and_grads_batch(params: ParamStore, task, src_ids, tgt_full, rng=None,
                          grads=None):
     """Forward + backward over a homogeneous-task padded batch."""
@@ -564,19 +560,89 @@ def backward(params: ParamStore, example: TaskExample):
     return loss_and_grads_batch(params, example.task, src, tgt)
 
 
-def greedy_decode(params: ParamStore, task, source_ids: Sequence[int],
-                  max_len: int) -> list[int]:
-    """Stepwise argmax (ties break to the lowest id); EOS is not returned."""
-    states, _ = encode(params, source_ids)
-    prefix = [BOS]
-    out: list[int] = []
-    for _ in range(max_len):
-        logits, _ = decode_step(params, task, states, prefix)
-        nxt = int(np.argmax(logits[-1]))
-        if nxt == EOS:
+def greedy_decode(params: ParamStore, task, sources: Sequence[Sequence[int]],
+                  max_len: int, cross_trace: list | None = None) -> list[list[int]]:
+    """Greedy argmax decode of every source; returns one id list per source.
+
+    Ties break to the lowest id and EOS is not returned. A row stops when it
+    emits EOS, after max_len tokens, or when BOS plus its tokens fill
+    max_tgt_len. Sources are sorted by length and decoded DECODE_CHUNK at a
+    time, so chunks carry little padding: each chunk is encoded once,
+    cross-attention keys and values are computed once per layer, and each
+    step runs the decoder for one new position against cached self-attention
+    keys and values (incremental decoding).
+
+    With `cross_trace`, appends per source an array (layers, heads, steps,
+    source length) of cross-attention weights, one step for BOS and each
+    returned token: the position after the last token is scored too.
+    """
+    key = _decoder_key(params, task)
+    limit = max(0, min(max_len, params.config.max_tgt_len - 1))
+    order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
+    rows: list = [None] * len(sources)
+    for start in range(0, len(sources), DECODE_CHUNK):
+        chunk = order[start:start + DECODE_CHUNK]
+        decoded = _greedy_chunk(params, key, [sources[i] for i in chunk], limit,
+                                cross_trace is not None)
+        for i, row in zip(chunk, decoded):
+            rows[i] = row
+    if cross_trace is not None:
+        cross_trace += [cross for _, cross in rows]
+    return [ids for ids, _ in rows]
+
+
+def _greedy_chunk(params, key, sources, limit, with_trace):
+    """(ids, cross-attention or None) per source of one chunk."""
+    cfg, t = params.config, params.tensors
+    dt, h, b = cfg.np_dtype, cfg.n_heads, len(sources)
+    lengths = [len(s) for s in sources]
+    src = np.full((b, max(lengths)), PAD, dtype=np.int64)
+    for row, ids in enumerate(sources):
+        src[row, :len(ids)] = ids
+    states, enc_tape = encode_batch(params, src, keep_caches=False)
+    cross_mask = np.where(enc_tape["mask"], 0.0, _NEG).astype(dt)[:, None, None, :]
+    cross_kv = [(_split_heads(states @ t[f"dec.{key}.{i}.cross_attn.wk"], h),
+                 _split_heads(states @ t[f"dec.{key}.{i}.cross_attn.wv"], h))
+                for i in range(cfg.n_dec_layers)]
+    n_pos = limit + with_trace
+    cache_shape = (cfg.n_dec_layers, b, h, n_pos, cfg.d_model // h)
+    self_k, self_v = np.empty(cache_shape, dtype=dt), np.empty(cache_shape, dtype=dt)
+    pe = positional_encoding(n_pos, cfg.d_model, dt)
+    cross = [[] for _ in range(cfg.n_dec_layers)]
+    out: list[list[int]] = [[] for _ in range(b)]
+    tokens = np.full(b, BOS)
+    running = np.ones(b, dtype=bool)
+    for pos in range(n_pos):
+        x = (t[f"dec.{key}.tgt_embed"][tokens] + pe[pos])[:, None]
+        for i in range(cfg.n_dec_layers):
+            name = f"dec.{key}.{i}"
+            normed, _ = _ln_fwd(x, t[f"{name}.ln1.g"], t[f"{name}.ln1.b"])
+            attn = f"{name}.self_attn"
+            self_k[i, :, :, pos] = _split_heads(normed @ t[f"{attn}.wk"], h)[:, :, 0]
+            self_v[i, :, :, pos] = _split_heads(normed @ t[f"{attn}.wv"], h)[:, :, 0]
+            ctx, _ = _attend(_split_heads(normed @ t[f"{attn}.wq"], h),
+                             self_k[i, :, :, :pos + 1], self_v[i, :, :, :pos + 1], None)
+            x = x + ctx @ t[f"{attn}.wo"]
+            normed, _ = _ln_fwd(x, t[f"{name}.ln2.g"], t[f"{name}.ln2.b"])
+            attn = f"{name}.cross_attn"
+            ctx, weights = _attend(_split_heads(normed @ t[f"{attn}.wq"], h),
+                                   *cross_kv[i], cross_mask)
+            if with_trace:
+                cross[i].append(weights[:, :, 0])
+            x = x + ctx @ t[f"{attn}.wo"]
+            normed, _ = _ln_fwd(x, t[f"{name}.ln3.g"], t[f"{name}.ln3.b"])
+            x = x + _ffn_fwd(params, f"{name}.ffn", normed, 0.0, None)[0]
+        if pos == limit:
             break
-        out.append(nxt)
-        prefix.append(nxt)
-        if len(prefix) >= params.config.max_tgt_len:
+        normed, _ = _ln_fwd(x[:, 0], t[f"dec.{key}.ln_f.g"], t[f"dec.{key}.ln_f.b"])
+        tokens = (normed @ t[f"dec.{key}.out.w"] + t[f"dec.{key}.out.b"]).argmax(-1)
+        running &= tokens != EOS
+        if not running.any():
             break
-    return out
+        for row in np.flatnonzero(running):
+            out[row].append(int(tokens[row]))
+    if not with_trace:
+        return [(ids, None) for ids in out]
+    stacked = np.stack([np.stack(steps, axis=2) for steps in cross])
+    return [(ids, stacked[:, row, :, :len(ids) + 1, :lengths[row]])
+            for row, ids in enumerate(out)]

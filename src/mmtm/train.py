@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import checkpoint, dataset, evaluate, model, pca_init
+from . import checkpoint, dataset, evaluate, expr, model, pca_init
 from .dataset import MwpRecord, TaskExample, Vocab
 from .expr import TraversalVariant
 from .model import ModelConfig, ParamStore
@@ -216,6 +216,26 @@ class PipelineResult:
     pretrain_log: Optional[TrainLog]
     finetune_log: TrainLog
     pretrain_params: Optional[ParamStore] = None
+    quarantined: list[dict] = field(default_factory=list)  # {"id", "reason"}
+
+
+def split_by_length(records: list[MwpRecord], config: ModelConfig):
+    """(kept, quarantined): a record is quarantined when its question is longer
+    than max_src_len tokens or its BOS/EOS-wrapped label than max_tgt_len.
+    Every traversal of a tree has the same length, so pre-order stands for all."""
+    kept, quarantined = [], []
+    for rec in records:
+        src_len = len(dataset.tokenize(rec.masked_question))
+        tgt_len = len(expr.traverse(rec.tree(), TraversalVariant.PRE_ORDER)) + 2
+        if src_len > config.max_src_len:
+            reason = f"source length {src_len} > max_src_len {config.max_src_len}"
+        elif tgt_len > config.max_tgt_len:
+            reason = f"target length {tgt_len} > max_tgt_len {config.max_tgt_len}"
+        else:
+            kept.append(rec)
+            continue
+        quarantined.append({"id": rec.id, "reason": reason})
+    return kept, quarantined
 
 
 def train_pipeline(
@@ -226,8 +246,10 @@ def train_pipeline(
     embeddings: Optional[pca_init.PretrainedEmbeddings] = None,
     pretrain: bool = True,
 ) -> PipelineResult:
-    """Build vocab, init (optionally from PCA of pretrained embeddings),
-    pretrain over all three tasks, then fine-tune on pre-order."""
+    """Quarantine over-length records, build vocab, init (optionally from PCA
+    of pretrained embeddings), pretrain over all three tasks, then fine-tune
+    on pre-order."""
+    records, quarantined = split_by_length(records, config)
     vocab = vocab or dataset.build_vocab(records)
     config = replace(config, src_vocab_size=vocab.src_size,
                      tgt_vocab_size=vocab.tgt_size)
@@ -249,6 +271,7 @@ def train_pipeline(
         pretrain_log=pre_log,
         finetune_log=ft_log,
         pretrain_params=pre_snapshot,
+        quarantined=quarantined,
     )
 
 

@@ -31,6 +31,15 @@ def make_records(n: int, seed: int = 0):
     return [dataset.make_record(raw) for raw in rows]
 
 
+def long_question_row(rid: str, n_tokens: int) -> dict:
+    """A valid raw corpus row whose question tokenizes to n_tokens tokens."""
+    filler = " really" * (n_tokens - 9)
+    row = {"id": rid, "question": f"Dan had 5 pens and bought 3 more{filler}?",
+           "equation": "number0 + number1", "answer": 8}
+    assert len(dataset.tokenize(dataset.extract_numbers(row["question"])[0])) == n_tokens
+    return row
+
+
 @pytest.fixture(scope="session")
 def corpus12():
     return make_records(12, seed=21)

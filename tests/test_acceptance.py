@@ -176,11 +176,14 @@ def test_c04_causality_and_attention_stochasticity():
     cfg = model.ModelConfig(src_vocab_size=12, tgt_vocab_size=12, d_model=16,
                             n_heads=4, dropout=0.0, seed=404)
     params = model.init_params(cfg)
-    states, enc_trace = model.encode(params, [4, 5, 6, 7],
-                                     capture_attention=True)
-    a, trace = model.decode_step(params, "pre", states, [BOS, 4, 5, 6],
-                                 capture_attention=True)
-    b, _ = model.decode_step(params, "pre", states, [BOS, 4, 5, 7])
+    enc_trace, trace = model.AttentionTrace(), model.AttentionTrace()
+    states, tape = model.encode_batch(params, np.asarray([4, 5, 6, 7])[None],
+                                      trace=enc_trace)
+    a, _ = model.decode_batch(params, "pre", states, tape["mask"],
+                              np.asarray([BOS, 4, 5, 6])[None], trace=trace)
+    b, _ = model.decode_batch(params, "pre", states, tape["mask"],
+                              np.asarray([BOS, 4, 5, 7])[None])
+    a, b = a[0], b[0]
     np.testing.assert_array_equal(a[:2], b[:2])  # bit-identical earlier rows
     for mats in (enc_trace.enc_self, trace.dec_self, trace.cross):
         for mat in mats:
@@ -214,8 +217,10 @@ def test_c05_multitask_contract():
     probe_src = list(examples[TraversalVariant.PRE_ORDER][0].source_ids)
 
     def in_probe():
-        states, _ = model.encode(params, probe_src)
-        return model.decode_step(params, "in", states, [BOS])[0].copy()
+        states, tape = model.encode_batch(params, np.asarray(probe_src)[None])
+        logits, _ = model.decode_batch(params, "in", states, tape["mask"],
+                                       np.asarray([BOS])[None])
+        return logits[0].copy()
 
     before_probe = in_probe()
     frozen = {n: params[n].copy()
@@ -275,9 +280,11 @@ def test_c08_overfit_smoke():
     result = train.train_pipeline(records, cfg, plan, vocab=vocab)
     trained = result.trained
     examples = dataset.augment_corpus(records, vocab)
+    pre = examples[TraversalVariant.PRE_ORDER]
+    outs = model.greedy_decode(trained.params, "pre",
+                               [list(e.source_ids) for e in pre], 16)
     exact = 0
-    for e in examples[TraversalVariant.PRE_ORDER]:
-        out = model.greedy_decode(trained.params, "pre", list(e.source_ids), 16)
+    for e, out in zip(pre, outs):
         exact += out == list(e.target_ids)[1:-1]
     assert exact / len(records) >= 0.98
     report = evaluate.score(trained, records)

@@ -5,6 +5,7 @@ import pytest
 
 from mmtm import cli, pca_init, synth
 from mmtm.pca_init import PretrainedEmbeddings
+from conftest import long_question_row
 
 
 @pytest.fixture(scope="module")
@@ -107,6 +108,19 @@ class TestTrain:
         assert manifest["plan"]["finetune_epochs"] == 1  # file value kept
 
 
+    def test_overlength_record_quarantined(self, tmp_path, capsys):
+        corpus = tmp_path / "train.jsonl"
+        synth.write_corpus(corpus, synth.generate_raw(40, seed=33)
+                           + [long_question_row("long-q", 254)])
+        rc = cli.main(["train", "--corpus", str(corpus), "--no-pretrain"]
+                      + fast_train_flags(tmp_path / "o"))
+        assert rc == 0
+        captured = capsys.readouterr()
+        assert "0 record(s) quarantined at load, 1 over the model length limits" \
+            in captured.err
+        assert "trained on 40 records" in captured.out
+
+
 @pytest.fixture(scope="module")
 def trained_dir(corpus_path, tmp_path_factory):
     out = tmp_path_factory.mktemp("trained")
@@ -136,6 +150,25 @@ class TestEval:
                        "--test", str(test_path), "--attention-out", str(att)])
         assert rc == 0
         assert len(list(att.glob("*.json"))) == 6
+
+    def test_overlength_question_reported_wrong(self, trained_dir, test_path,
+                                                tmp_path):
+        test = tmp_path / "test.jsonl"
+        test.write_text(test_path.read_text()
+                        + json.dumps(long_question_row("long-q", 225)) + "\n")
+        report_path, att = tmp_path / "report.json", tmp_path / "att"
+        rc = cli.main(["eval", "--checkpoint",
+                       str(trained_dir / "checkpoint_final.mmtm"),
+                       "--test", str(test), "--report", str(report_path),
+                       "--attention-out", str(att)])
+        assert rc == 0
+        report = json.loads(report_path.read_text())
+        assert report["total"] == 7
+        verdict = report["verdicts"][-1]
+        assert verdict["record_id"] == "long-q" and verdict["correct"] is False
+        assert verdict["failure_reason"] == "input_too_long"
+        assert sorted(p.stem for p in att.glob("*.json")) == \
+            sorted(v["record_id"] for v in report["verdicts"][:-1])
 
     def test_corrupt_checkpoint_exit_3(self, test_path, tmp_path):
         bad = tmp_path / "bad.mmtm"

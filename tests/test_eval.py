@@ -5,6 +5,7 @@ import pytest
 
 from mmtm import dataset, evaluate, expr
 from mmtm.evaluate import EvalReport, Verdict
+from conftest import long_question_row
 
 
 def make_report(flags):
@@ -66,6 +67,16 @@ class TestScore:
         one = report.cohorts["One-Op"]["count"]
         two = report.cohorts["Two-Op"]["count"]
         assert one + two == report.total  # synthetic corpus has no 3-op records
+
+    def test_overlength_record_gets_verdict(self, memorized, corpus12):
+        long_record = dataset.make_record(long_question_row("long-q", 225))
+        report = evaluate.score(memorized, corpus12[:3] + [long_record])
+        assert report.total == 4 and report.correct == 3
+        assert report.cohorts["Full Set"]["count"] == 4
+        verdict = report.verdicts[-1]
+        assert verdict.record_id == "long-q" and not verdict.correct
+        assert verdict.failure_reason == "input_too_long"
+        assert verdict.predicted_tokens == [] and verdict.predicted_answer is None
 
     def test_op_cohorts_by_inclusion(self, memorized, corpus12):
         report = evaluate.score(memorized, corpus12)

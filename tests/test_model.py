@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mmtm import dataset, model
+from mmtm import dataset, evaluate, model
 from mmtm.dataset import BOS, EOS, PAD, TaskExample
 from mmtm.expr import TraversalVariant
 
@@ -66,57 +68,73 @@ class TestInitParams:
 class TestEncode:
     def test_single_token_shape(self):
         params = model.init_params(tiny_config())
-        states, _ = model.encode(params, [5])
-        assert states.shape == (1, 8)
+        states, _ = model.encode_batch(params, np.asarray([5])[None])
+        assert states[0].shape == (1, 8)
 
     def test_all_pad_rejected(self):
         params = model.init_params(tiny_config())
         with pytest.raises(model.EmptyInput):
-            model.encode(params, [PAD, PAD])
+            model.encode_batch(params, np.asarray([PAD, PAD])[None])
 
     def test_sequence_too_long(self):
         params = model.init_params(tiny_config())
         with pytest.raises(model.SequenceTooLong):
-            model.encode(params, [4] * 17)
+            model.encode_batch(params, np.asarray([4] * 17)[None])
 
     def test_id_out_of_range(self):
         params = model.init_params(tiny_config())
         with pytest.raises(model.IdOutOfRange):
-            model.encode(params, [12])
+            model.encode_batch(params, np.asarray([12])[None])
 
     def test_positional_sensitivity(self):
         params = model.init_params(tiny_config())
-        a, _ = model.encode(params, [4, 5, 6])
-        b, _ = model.encode(params, [4, 6, 5])
-        assert np.abs(a - b).max() > 1e-9
+        a, _ = model.encode_batch(params, np.asarray([4, 5, 6])[None])
+        b, _ = model.encode_batch(params, np.asarray([4, 6, 5])[None])
+        assert np.abs(a[0] - b[0]).max() > 1e-9
+
+
+    def test_without_caches_same_states(self):
+        params = model.init_params(tiny_config())
+        src = np.asarray([[4, 5, 6], [7, 8, PAD]])
+        kept, tape = model.encode_batch(params, src)
+        bare, bare_tape = model.encode_batch(params, src, keep_caches=False)
+        np.testing.assert_array_equal(kept, bare)
+        np.testing.assert_array_equal(tape["mask"], bare_tape["mask"])
+        assert tape["caches"] and bare_tape["caches"] is None
 
 
 class TestDecodeStep:
     def test_bos_only_prefix_one_row(self):
         params = model.init_params(tiny_config())
-        states, _ = model.encode(params, [4, 5])
-        logits, _ = model.decode_step(params, "pre", states, [BOS])
-        assert logits.shape == (1, 12)
+        states, tape = model.encode_batch(params, np.asarray([4, 5])[None])
+        logits, _ = model.decode_batch(params, "pre", states, tape["mask"],
+                                       np.asarray([BOS])[None])
+        assert logits[0].shape == (1, 12)
 
     def test_tasks_give_different_logits(self):
         params = model.init_params(tiny_config())
-        states, _ = model.encode(params, [4, 5])
-        out = {t: model.decode_step(params, t, states, [BOS, 4])[0]
+        states, tape = model.encode_batch(params, np.asarray([4, 5])[None])
+        out = {t: model.decode_batch(params, t, states, tape["mask"],
+                                     np.asarray([BOS, 4])[None])[0][0]
                for t in ("pre", "in", "post")}
         assert np.abs(out["pre"] - out["in"]).max() > 1e-9
         assert np.abs(out["in"] - out["post"]).max() > 1e-9
 
     def test_unknown_task(self):
         params = model.init_params(tiny_config())
-        states, _ = model.encode(params, [4])
+        states, tape = model.encode_batch(params, np.asarray([4])[None])
         with pytest.raises(model.UnknownTask):
-            model.decode_step(params, "sideways", states, [BOS])
+            model.decode_batch(params, "sideways", states, tape["mask"],
+                               np.asarray([BOS])[None])
 
     def test_causality_future_token_cannot_leak(self):
         params = model.init_params(tiny_config())
-        states, _ = model.encode(params, [4, 5, 6])
-        a, _ = model.decode_step(params, "pre", states, [BOS, 4, 5, 6])
-        b, _ = model.decode_step(params, "pre", states, [BOS, 4, 7, 6])
+        states, tape = model.encode_batch(params, np.asarray([4, 5, 6])[None])
+        a, _ = model.decode_batch(params, "pre", states, tape["mask"],
+                                  np.asarray([BOS, 4, 5, 6])[None])
+        b, _ = model.decode_batch(params, "pre", states, tape["mask"],
+                                  np.asarray([BOS, 4, 7, 6])[None])
+        a, b = a[0], b[0]
         # rows before the perturbed position are bit-identical
         np.testing.assert_array_equal(a[:2], b[:2])
         assert np.abs(a[2:] - b[2:]).max() > 0
@@ -125,10 +143,11 @@ class TestDecodeStep:
 class TestAttention:
     def test_rows_sum_to_one(self):
         params = model.init_params(tiny_config())
-        states, enc_trace = model.encode(params, [4, 5, 6, 7],
-                                         capture_attention=True)
-        _, dec_trace = model.decode_step(params, "pre", states, [BOS, 4, 5],
-                                         capture_attention=True)
+        enc_trace, dec_trace = model.AttentionTrace(), model.AttentionTrace()
+        states, tape = model.encode_batch(params, np.asarray([4, 5, 6, 7])[None],
+                                          trace=enc_trace)
+        model.decode_batch(params, "pre", states, tape["mask"],
+                           np.asarray([BOS, 4, 5])[None], trace=dec_trace)
         for mats in (enc_trace.enc_self, dec_trace.dec_self, dec_trace.cross):
             for mat in mats:
                 np.testing.assert_allclose(mat.sum(axis=-1), 1.0, atol=1e-6)
@@ -136,9 +155,10 @@ class TestAttention:
 
     def test_causal_mask_zeroes_future(self):
         params = model.init_params(tiny_config())
-        states, _ = model.encode(params, [4, 5])
-        _, trace = model.decode_step(params, "pre", states, [BOS, 4, 5],
-                                     capture_attention=True)
+        trace = model.AttentionTrace()
+        states, tape = model.encode_batch(params, np.asarray([4, 5])[None])
+        model.decode_batch(params, "pre", states, tape["mask"],
+                           np.asarray([BOS, 4, 5])[None], trace=trace)
         for mat in trace.dec_self:
             future = np.triu(np.ones(mat.shape[-2:], dtype=bool), k=1)
             assert np.abs(mat[:, future]).max() == 0.0
@@ -196,18 +216,142 @@ class TestBackward:
 class TestGreedyDecode:
     def test_terminates_untrained(self):
         params = model.init_params(tiny_config())
-        out = model.greedy_decode(params, "pre", [4, 5], max_len=10)
+        [out] = model.greedy_decode(params, "pre", [[4, 5]], max_len=10)
         assert len(out) <= 10
 
     def test_max_len_one(self):
         params = model.init_params(tiny_config())
-        out = model.greedy_decode(params, "pre", [4, 5], max_len=1)
+        [out] = model.greedy_decode(params, "pre", [[4, 5]], max_len=1)
         assert len(out) <= 1
 
     def test_memorized_model_reproduces_gold(self, memorized, corpus12):
         vocab = memorized.vocab
         examples = dataset.augment_corpus(corpus12, vocab)
         e = examples[TraversalVariant.PRE_ORDER][0]
-        out = model.greedy_decode(memorized.params, "pre", list(e.source_ids),
-                                  max_len=16)
+        [out] = model.greedy_decode(memorized.params, "pre", [list(e.source_ids)],
+                                    max_len=16)
         assert out == list(e.target_ids)[1:-1]
+
+
+# ---------------------------------------------------------------------------
+# the batched, cached decoder against the full-prefix path it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_decode(params, task, source, max_len):
+    """Greedy decode of one source that re-runs decode_batch over the whole
+    prefix at every step (ties break to the lowest id)."""
+    states, tape = model.encode_batch(params, np.asarray(source)[None])
+    prefix, out = [BOS], []
+    for _ in range(max_len):
+        logits, _ = model.decode_batch(params, task, states, tape["mask"],
+                                       np.asarray(prefix)[None])
+        nxt = int(np.argmax(logits[0, -1]))
+        if nxt == EOS:
+            break
+        out.append(nxt)
+        prefix.append(nxt)
+        if len(prefix) >= params.config.max_tgt_len:
+            break
+    return out
+
+
+def reference_cross(params, task, source, ids):
+    """Cross-attention (layers, heads, steps, src) from one full-prefix pass
+    over BOS plus the decoded ids, as attention export used to compute it."""
+    trace = model.AttentionTrace()
+    states, tape = model.encode_batch(params, np.asarray(source)[None])
+    model.decode_batch(params, task, states, tape["mask"],
+                       np.asarray([BOS] + ids)[None], trace=trace)
+    return np.stack(trace.cross)
+
+
+def parity_params(seed=4, **kv):
+    return model.init_params(tiny_config(d_model=16, n_heads=4, n_enc_layers=2,
+                                         n_dec_layers=2, seed=seed, **kv))
+
+
+def mixed_sources(n, seed=4):
+    rng = np.random.default_rng(seed)
+    return [[int(v) for v in rng.integers(4, 12, rng.integers(1, 17))]
+            for _ in range(n)]
+
+
+def assert_matches_reference(params, sources, max_len):
+    got = model.greedy_decode(params, "pre", sources, max_len)
+    assert got == [reference_decode(params, "pre", s, max_len) for s in sources]
+    return got
+
+
+class TestBatchedDecodeParity:
+    def test_mixed_source_lengths_in_one_chunk(self):
+        params = parity_params()
+        got = assert_matches_reference(params, mixed_sources(12), max_len=20)
+        assert len({len(ids) for ids in got}) > 1  # rows stopped at different steps
+
+    def test_batch_larger_than_one_chunk(self):
+        sources = mixed_sources(model.DECODE_CHUNK + 9, seed=5)
+        assert_matches_reference(parity_params(), sources, max_len=20)
+
+    def test_argmax_tie_breaks_to_lowest_id(self):
+        params = parity_params()
+        # Zero columns make logits 5 and 9 both exactly the bias, whatever
+        # order a matrix product sums in; copied nonzero columns need not tie
+        # once the product kernel handles the two columns in different panels.
+        params["dec.pre.out.w"][:, [5, 9]] = 0.0
+        params["dec.pre.out.b"][[5, 9]] = 3.0  # the tied pair wins some steps
+        got = assert_matches_reference(params, mixed_sources(12), max_len=12)
+        emitted = [tok for ids in got for tok in ids]
+        assert 5 in emitted and 9 not in emitted
+        assert set(emitted) - {5}
+
+    def test_truncated_row_without_eos(self):
+        params = parity_params()
+        params["dec.pre.out.b"][EOS] = -1e9
+        sources = mixed_sources(5)
+        for max_len in (4, 40):  # max_len, then max_tgt_len, sets the limit
+            got = assert_matches_reference(params, sources, max_len)
+            limit = min(max_len, params.config.max_tgt_len - 1)
+            assert all(len(ids) == limit for ids in got)
+
+    def test_row_alone_equals_row_in_padded_batch(self):
+        params = parity_params()
+        sources = mixed_sources(10)
+        batched = model.greedy_decode(params, "pre", sources, 20)
+        assert batched == [model.greedy_decode(params, "pre", [s], 20)[0]
+                           for s in sources]
+
+    @pytest.mark.parametrize("eos_bias", [0.0, -1e9])
+    def test_cross_trace_matches_full_prefix_pass(self, eos_bias):
+        params = parity_params()
+        params["dec.pre.out.b"][EOS] += eos_bias
+        sources = mixed_sources(12)
+        trace = []
+        got = model.greedy_decode(params, "pre", sources, 20, cross_trace=trace)
+        assert len(trace) == len(sources)
+        for source, ids, cross in zip(sources, got, trace):
+            expected = reference_cross(params, "pre", source, ids)
+            assert cross.shape == expected.shape == (2, 4, len(ids) + 1, len(source))
+            np.testing.assert_allclose(cross, expected, rtol=0, atol=1e-12)
+
+
+class TestExportAttentionParity:
+    @pytest.mark.parametrize("eos_bias", [0.0, -1e9])
+    def test_matches_two_pass_export(self, memorized, corpus12, eos_bias):
+        params = memorized.params.copy()
+        params["dec.pre.out.b"][EOS] += eos_bias
+        trained = dataclasses.replace(memorized, params=params)
+        vocab = memorized.vocab
+        for record in corpus12[:4]:
+            report = evaluate.export_attention(trained, record)
+            source = vocab.encode_src(dataset.tokenize(record.masked_question))
+            ids = reference_decode(params, "pre", source,
+                                   trained.config.max_tgt_len - 2)
+            cross = reference_cross(params, "pre", source, ids)
+            assert report["predicted_label"] == vocab.decode_tgt([BOS] + ids)
+            assert report["decode_steps"] == len(ids) + 1
+            np.testing.assert_allclose(report["weights"],
+                                       cross.mean(axis=(0, 1)).sum(axis=0),
+                                       rtol=0, atol=1e-12)
+            if eos_bias:
+                assert len(ids) == trained.config.max_tgt_len - 2

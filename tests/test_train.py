@@ -6,7 +6,7 @@ import pytest
 from mmtm import dataset, model, train
 from mmtm.dataset import BOS
 from mmtm.expr import TraversalVariant
-from conftest import make_records
+from conftest import long_question_row, make_records
 
 
 def checksum(params, prefix):
@@ -95,9 +95,10 @@ class TestFinetune:
         probe_src = list(examples[TraversalVariant.PRE_ORDER][0].source_ids)
 
         def probe():
-            states, _ = model.encode(params, probe_src)
-            logits, _ = model.decode_step(params, "in", states, [BOS])
-            return logits.copy()
+            states, tape = model.encode_batch(params, np.asarray(probe_src)[None])
+            logits, _ = model.decode_batch(params, "in", states, tape["mask"],
+                                           np.asarray([BOS])[None])
+            return logits[0].copy()
 
         before_logits = probe()
         before_in = checksum(params, "dec.in.")
@@ -117,6 +118,33 @@ class TestFinetune:
         drops = sum(b < a for a, b in zip(means, means[1:]))
         assert drops >= 1  # monotone in >= 2 of 3 epochs means both transitions drop
         assert means[-1] < means[0]
+
+
+class TestLengthQuarantine:
+    def test_overlength_record_quarantined(self):
+        records = make_records(40, seed=8)
+        records.append(dataset.make_record(long_question_row("long-q", 254)))
+        cfg = model.ModelConfig(src_vocab_size=8, tgt_vocab_size=8, d_model=16,
+                                n_heads=4, seed=8)
+        plan = train.TrainPlan(pretrain_epochs=1, finetune_epochs=1,
+                               batch_size=16, seed=8)
+        result = train.train_pipeline(records, cfg, plan)
+        assert [q["id"] for q in result.quarantined] == ["long-q"]
+        assert "source length 254 > max_src_len 128" in result.quarantined[0]["reason"]
+        assert len(result.finetune_log.steps) == 3  # 40 kept records, batch 16
+
+    def test_overlength_target_quarantined(self):
+        records = make_records(6, seed=8)
+        records.append(dataset.make_record({
+            "id": "long-t", "question": "Add 1 and 2 and 3 and 4 and 5 .",
+            "equation": "number0 + number1 + number2 + number3 + number4",
+            "answer": 15}))
+        cfg = model.ModelConfig(src_vocab_size=8, tgt_vocab_size=8, d_model=16,
+                                n_heads=4, seed=8, max_tgt_len=10)
+        kept, quarantined = train.split_by_length(records, cfg)
+        assert kept == records[:-1]
+        assert quarantined == [{"id": "long-t",
+                                "reason": "target length 11 > max_tgt_len 10"}]
 
 
 class TestDeterminism:
