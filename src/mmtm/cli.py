@@ -69,7 +69,7 @@ def _write_manifest(out_dir: Path, command: str, args, inputs: dict,
     return manifest
 
 
-def _resolve_config_plan(args, vocab_placeholder=True):
+def _resolve_config_plan(args):
     """Config file values first, then flags (flags win)."""
     file_cfg = {}
     if getattr(args, "config", None):
@@ -79,14 +79,10 @@ def _resolve_config_plan(args, vocab_placeholder=True):
         "dropout": 0.1, "dtype": "float64",
         "max_src_len": 128, "max_tgt_len": 48,
     }
-    plan_kv = {}
-    for key in list(cfg):
-        if key in file_cfg:
-            cfg[key] = file_cfg[key]
-    for key in ("pretrain_epochs", "finetune_epochs", "pretrain_lr",
-                "finetune_lr", "batch_size"):
-        if key in file_cfg:
-            plan_kv[key] = file_cfg[key]
+    cfg.update({k: file_cfg[k] for k in cfg if k in file_cfg})
+    plan_keys = ("pretrain_epochs", "finetune_epochs", "pretrain_lr", "finetune_lr",
+                 "batch_size")
+    plan_kv = {k: file_cfg[k] for k in plan_keys if k in file_cfg}
     if getattr(args, "dim", None):
         cfg["d_model"] = args.dim
     if getattr(args, "layers", None):
@@ -95,11 +91,8 @@ def _resolve_config_plan(args, vocab_placeholder=True):
         cfg["n_heads"] = args.heads
     if getattr(args, "dtype", None):
         cfg["dtype"] = args.dtype
-    for key in ("pretrain_epochs", "finetune_epochs", "pretrain_lr",
-                "finetune_lr", "batch_size"):
-        value = getattr(args, key, None)
-        if value is not None:
-            plan_kv[key] = value
+    plan_kv.update({k: getattr(args, k) for k in plan_keys
+                    if getattr(args, k, None) is not None})
     seed = _default_seed(args)
     cfg["seed"] = seed
     plan_kv["seed"] = seed
@@ -126,17 +119,6 @@ def cmd_augment(args) -> int:
     return EXIT_OK
 
 
-def _train_common(args, records, embeddings, pretrain: bool):
-    cfg_kv, plan_kv = _resolve_config_plan(args)
-    vocab = dataset.build_vocab(records)
-    config = model.ModelConfig(src_vocab_size=vocab.src_size,
-                               tgt_vocab_size=vocab.tgt_size, **cfg_kv)
-    plan = train.TrainPlan(**plan_kv)
-    result = train.train_pipeline(records, config, plan, vocab=vocab,
-                                  embeddings=embeddings, pretrain=pretrain)
-    return result, config, plan
-
-
 def cmd_train(args) -> int:
     load = _load_corpus(args.corpus)
     if not load.records:
@@ -148,6 +130,10 @@ def cmd_train(args) -> int:
         embeddings = pca_init.load_embeddings_tsv(args.embeddings)
     out_dir = Path(args.out)
     cfg_kv, plan_kv = _resolve_config_plan(args)
+    vocab = dataset.build_vocab(load.records)
+    config = model.ModelConfig(src_vocab_size=vocab.src_size,
+                               tgt_vocab_size=vocab.tgt_size, **cfg_kv)
+    plan = train.TrainPlan(**plan_kv)
     artifacts = ["checkpoint_final.mmtm", "trainlog_finetune.jsonl"]
     if not args.no_pretrain:
         artifacts = ["checkpoint_pretrain.mmtm",
@@ -155,8 +141,8 @@ def cmd_train(args) -> int:
     _write_manifest(out_dir, "train", args,
                     {"corpus": args.corpus, "embeddings": args.embeddings},
                     config=cfg_kv, plan=plan_kv, artifacts=artifacts)
-    result, _, _ = _train_common(args, load.records, embeddings,
-                                 pretrain=not args.no_pretrain)
+    result = train.train_pipeline(load.records, config, plan, vocab=vocab,
+                                  embeddings=embeddings, pretrain=not args.no_pretrain)
     if result.pretrain_params is not None:
         checkpoint.save(out_dir / "checkpoint_pretrain.mmtm",
                         result.pretrain_params, result.trained.vocab)
@@ -201,7 +187,7 @@ def cmd_sweep(args) -> int:
     if args.embeddings:
         embeddings = pca_init.load_embeddings_tsv(args.embeddings)
     dims = [int(v) for v in args.dims.split(",")]
-    layer_counts = [int(v) for v in args.layers.split(",")]
+    layer_counts = [int(v) for v in args.layer_list.split(",")]
     inits = ["scratch"] + (["pca"] if embeddings is not None else [])
     out_dir = Path(args.out)
     _write_manifest(out_dir, "sweep", args,
@@ -217,8 +203,7 @@ def cmd_sweep(args) -> int:
             for row in csv.DictReader(fh):
                 done.add((int(row["dim"]), int(row["layers"]), row["init"]))
                 rows.append(row)
-    shapeless = argparse.Namespace(**{**vars(args), "dim": None, "layers": None})
-    cfg_kv, plan_kv = _resolve_config_plan(shapeless)
+    cfg_kv, plan_kv = _resolve_config_plan(args)
     plan = train.TrainPlan(**plan_kv)
     for dim in dims:
         for layers in layer_counts:
@@ -303,7 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--dims", default="32,64,128", help="comma list of widths")
-    p.add_argument("--layers", default="1", help="comma list, e.g. 1,2")
+    p.add_argument("--layers", dest="layer_list", default="1",
+                   help="comma list, e.g. 1,2")
     p.add_argument("--embeddings")
     p.add_argument("--out", required=True)
     add_common_train_flags(p, with_shape=False)
@@ -317,16 +303,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliInputError, dataset.DatasetError, pca_init.PcaError,
-            FileNotFoundError, json.JSONDecodeError) as e:
+    except train.NonFiniteLoss as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_NUMERIC
+    except (CliInputError, dataset.DatasetError, pca_init.PcaError, model.ModelError,
+            train.TrainError, FileNotFoundError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except checkpoint.CheckpointError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH
-    except train.NonFiniteLoss as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

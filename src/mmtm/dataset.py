@@ -117,6 +117,8 @@ def make_record(raw: dict, line_no: int = 0) -> MwpRecord:
         raise MalformedRecord(f"line {line_no}: bad answer {answer!r}") from e
 
     masked, quantities = extract_numbers(question)
+    if not tokenize(masked):
+        raise MalformedRecord(f"line {line_no} ({rid}): question has no tokens")
     aligned = _align_equation(equation, quantities)
     try:
         tree = expr.parse_infix(aligned, len(quantities))

@@ -102,26 +102,25 @@ def _decode(trained: TrainedModel, task: TraversalVariant, sources: list[list[in
                                cross_trace=cross_trace)
 
 
-def _judge(vocab, record: MwpRecord, ids: list[int]):
-    """Rebuild and evaluate one decoded pre-order label: (answer|None, Verdict)."""
+def _judge(vocab, record: MwpRecord, ids: list[int]) -> Verdict:
+    """Rebuild and evaluate one decoded pre-order label."""
     tokens = vocab.decode_tgt([BOS] + ids)
     try:
         tree = expr.tree_from_preorder(tokens)
     except expr.ExprError:
-        return None, Verdict(record.id, tokens, False, None, False,
-                             "decode_malformed")
+        return Verdict(record.id, tokens, False, None, False, "decode_malformed")
     try:
         answer = expr.evaluate(tree, list(record.quantities))
     except expr.ExprError:
-        return None, Verdict(record.id, tokens, True, None, False, "eval_error")
+        return Verdict(record.id, tokens, True, None, False, "eval_error")
     ok = answers_match(answer, record.answer)
-    return answer, Verdict(record.id, tokens, True, expr.format_number(answer),
-                           ok, None if ok else "wrong_answer")
+    return Verdict(record.id, tokens, True, expr.format_number(answer), ok,
+                   None if ok else "wrong_answer")
 
 
-def _predict(trained: TrainedModel, records: list[MwpRecord]) -> list[tuple]:
-    """(answer|None, Verdict) per record, in order. Questions longer than
-    max_src_len get an input_too_long verdict and never reach the encoder."""
+def _predict(trained: TrainedModel, records: list[MwpRecord]) -> list[Verdict]:
+    """One verdict per record, in order. Questions longer than max_src_len
+    get an input_too_long verdict and never reach the encoder."""
     vocab = trained.vocab
     sources = [vocab.encode_src(tokenize(r.masked_question)) for r in records]
     fits = [i for i, src in enumerate(sources)
@@ -129,21 +128,15 @@ def _predict(trained: TrainedModel, records: list[MwpRecord]) -> list[tuple]:
     decoded = dict(zip(fits, _decode(trained, TraversalVariant.PRE_ORDER,
                                      [sources[i] for i in fits])))
     return [_judge(vocab, record, decoded[i]) if i in decoded
-            else (None, Verdict(record.id, [], False, None, False, INPUT_TOO_LONG))
+            else Verdict(record.id, [], False, None, False, INPUT_TOO_LONG)
             for i, record in enumerate(records)]
-
-
-def predict_answer(trained: TrainedModel, record: MwpRecord):
-    """Greedy pre-order decode, rebuild, evaluate. Returns (answer|None, Verdict)."""
-    return _predict(trained, [record])[0]
 
 
 def score(trained: TrainedModel, records: list[MwpRecord]) -> EvalReport:
     """Answer accuracy over records plus one-op/two-op and operator cohorts."""
-    verdicts = []
+    verdicts = _predict(trained, records)
     cohorts = {row: {"count": 0, "correct": 0} for row in COHORT_ROWS}
-    for record, (_, verdict) in zip(records, _predict(trained, records)):
-        verdicts.append(verdict)
+    for record, verdict in zip(records, verdicts):
         rows = ["Full Set"]
         if record.op_count == 1:
             rows.append("One-Op")

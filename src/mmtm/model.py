@@ -14,12 +14,20 @@ Parameter naming:
     dec.{task}.{i}.ln1.g|b      dec.{task}.{i}.self_attn.wq|wk|wv|wo
     dec.{task}.{i}.ln2.g|b      dec.{task}.{i}.cross_attn.wq|wk|wv|wo
     dec.{task}.{i}.ln3.g|b      dec.{task}.{i}.ffn.w1|b1|w2|b2
-    dec.{task}.ln_f.g|b         dec.{task}.out.w|b
+    dec.{task}.ln_f.g|b         dec.{task}.out.w|b      ({task}: pre, in or post)
+
+All parameters live in one contiguous 1-D arena, `ParamStore.flat`, in
+sorted-name order: dec.in.* | dec.post.* | dec.pre.* | enc.*, src_embed.
+`ParamStore.tensors` maps each name to a reshaped view of it. Training on one
+task updates the shared encoder plus that task's decoder: one span of `flat`
+for pre-order, two for in-order or post-order (`ParamStore.spans`). Gradients
+use an arena of the same layout (`zero_grads`).
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field, asdict
 from typing import Optional, Sequence
 
@@ -28,7 +36,6 @@ import numpy as np
 from .dataset import PAD, BOS, EOS, TaskExample
 from .expr import TraversalVariant
 
-TASKS = ("pre", "in", "post")
 _LN_EPS = 1e-5
 _NEG = -1e30
 # Sources per greedy-decode batch. It bounds the encoder activations and K/V
@@ -101,28 +108,72 @@ class ModelConfig:
         return asdict(self)
 
 
-def task_key(task: TraversalVariant | str) -> str:
-    key = task.value if isinstance(task, TraversalVariant) else task
-    if key not in TASKS:
-        raise UnknownTask(f"unknown task {task!r}")
-    return key
+class Arena(Mapping):
+    """Name -> array mapping whose values are reshaped views of one 1-D array,
+    `flat`, in sorted-name order. Assigning to a name writes into `flat`; the
+    names are fixed. `arena[start, stop]` is the span between two offsets."""
+
+    def __init__(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]):
+        self.flat, self.shapes = flat, shapes
+        names = sorted(shapes)
+        pieces = np.split(flat, np.cumsum([math.prod(shapes[n]) for n in names])[:-1])
+        self._views = {n: piece.reshape(shapes[n]) for n, piece in zip(names, pieces)}
+
+    def __getitem__(self, key):
+        if isinstance(key, tuple):
+            return self.flat[slice(*key)]
+        return self._views[key]
+
+    def __setitem__(self, name: str, value):
+        self._views[name][...] = value
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self) -> int:
+        return len(self._views)
+
+
+def _variant(task: TraversalVariant | str) -> TraversalVariant:
+    try:
+        return TraversalVariant(task)
+    except ValueError:
+        raise UnknownTask(f"unknown task {task!r}") from None
 
 
 @dataclass
 class ParamStore:
     config: ModelConfig
-    tensors: dict[str, np.ndarray]
-    tasks: tuple[str, ...] = TASKS
+    tensors: Arena
+    tasks: tuple[TraversalVariant, ...] = tuple(TraversalVariant)
+
+    @property
+    def flat(self) -> np.ndarray:
+        return self.tensors.flat
 
     def copy(self) -> "ParamStore":
-        return ParamStore(self.config, {k: v.copy() for k, v in self.tensors.items()},
+        return ParamStore(self.config, Arena(self.flat.copy(), self.tensors.shapes),
                           self.tasks)
 
     def names(self, prefix: str = "") -> list[str]:
         return [n for n in self.tensors if n.startswith(prefix)]
 
     def size(self) -> int:
-        return sum(v.size for v in self.tensors.values())
+        return self.flat.size
+
+    def spans(self, task) -> tuple[tuple[int, int], ...]:
+        """(start, stop) spans of `flat` that training on `task` updates: the
+        shared encoder and that task's decoder, adjacent spans merged."""
+        own = f"dec.{_variant(task).value}."
+        spans: list[tuple[int, int]] = []
+        stop = 0
+        for name, view in self.tensors.items():
+            start, stop = stop, stop + view.size
+            if name.startswith(own) or not name.startswith("dec."):
+                if spans and spans[-1][1] == start:
+                    start = spans.pop()[0]
+                spans.append((start, stop))
+        return tuple(spans)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -137,7 +188,7 @@ class AttentionTrace:
     cross: list[np.ndarray] = field(default_factory=list)
 
 
-def param_count(config: ModelConfig, tasks: Sequence[str] = TASKS) -> int:
+def param_count(config: ModelConfig, tasks: Sequence = tuple(TraversalVariant)) -> int:
     """Closed-form parameter count; must equal ParamStore.size()."""
     d, f = config.d_model, config.d_ffn
     attn = 4 * d * d
@@ -149,72 +200,62 @@ def param_count(config: ModelConfig, tasks: Sequence[str] = TASKS) -> int:
     return enc + len(tasks) * dec
 
 
+def param_shapes(config: ModelConfig, tasks: Sequence[TraversalVariant]
+                 ) -> dict[str, tuple[int, ...]]:
+    """Every tensor's shape, in the order init_params draws them."""
+    d, f, vt = config.d_model, config.d_ffn, config.tgt_vocab_size
+    ln = {"g": (d,), "b": (d,)}
+    attn = {w: (d, d) for w in ("wq", "wk", "wv", "wo")}
+    parts = {"ln1": ln, "ln2": ln, "ln3": ln, "ln_f": ln,
+             "attn": attn, "self_attn": attn, "cross_attn": attn,
+             "ffn": {"w1": (d, f), "b1": (f,), "w2": (f, d), "b2": (d,)},
+             "out": {"w": (d, vt), "b": (vt,)}}
+    shapes = {"src_embed": (config.src_vocab_size, d)}
+
+    def add(prefix, *names):
+        shapes.update({f"{prefix}.{n}.{k}": shape
+                       for n in names for k, shape in parts[n].items()})
+
+    for i in range(config.n_enc_layers):
+        add(f"enc.{i}", "ln1", "attn", "ln2", "ffn")
+    add("enc", "ln_f")
+    for task in tasks:
+        shapes[f"dec.{task.value}.tgt_embed"] = (vt, d)
+        for i in range(config.n_dec_layers):
+            add(f"dec.{task.value}.{i}", "ln1", "self_attn", "ln2", "cross_attn", "ln3",
+                "ffn")
+        add(f"dec.{task.value}", "ln_f", "out")
+    return shapes
+
+
 def init_params(
     config: ModelConfig,
     embedding_init: Optional[np.ndarray] = None,
-    tasks: Sequence[str] = TASKS,
+    tasks: Sequence = tuple(TraversalVariant),
 ) -> ParamStore:
-    """Xavier-uniform weights from the config seed; the source embedding table
-    may be supplied (e.g. PCA-projected pretrained vectors)."""
+    """Xavier-uniform weights from the config seed, drawn straight into the
+    arena; the source embedding table may be supplied (e.g. PCA-projected
+    pretrained vectors). LayerNorm gains start at 1 and biases at 0."""
+    tasks = tuple(_variant(t) for t in tasks)
+    shapes = param_shapes(config, tasks)
+    params = ParamStore(config, Arena(np.zeros(sum(map(math.prod, shapes.values())),
+                                               dtype=config.np_dtype), shapes), tasks)
     rng = np.random.default_rng(config.seed)
-    dt = config.np_dtype
-    d, f = config.d_model, config.d_ffn
-    tensors: dict[str, np.ndarray] = {}
-
-    def xavier(fan_in, fan_out, shape=None):
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
-        return rng.uniform(-limit, limit, shape or (fan_in, fan_out)).astype(dt)
-
-    def add_ln(name):
-        tensors[f"{name}.g"] = np.ones(d, dtype=dt)
-        tensors[f"{name}.b"] = np.zeros(d, dtype=dt)
-
-    def add_attn(name):
-        for w in ("wq", "wk", "wv", "wo"):
-            tensors[f"{name}.{w}"] = xavier(d, d)
-
-    def add_ffn(name):
-        tensors[f"{name}.w1"] = xavier(d, f)
-        tensors[f"{name}.b1"] = np.zeros(f, dtype=dt)
-        tensors[f"{name}.w2"] = xavier(f, d)
-        tensors[f"{name}.b2"] = np.zeros(d, dtype=dt)
-
-    if embedding_init is not None:
-        if embedding_init.shape != (config.src_vocab_size, d):
-            raise ShapeMismatch(
-                f"embedding_init {embedding_init.shape}, "
-                f"expected {(config.src_vocab_size, d)}"
-            )
-        tensors["src_embed"] = np.array(embedding_init, dtype=dt)
-    else:
-        tensors["src_embed"] = rng.normal(
-            0.0, 1.0 / math.sqrt(d), (config.src_vocab_size, d)
-        ).astype(dt)
-
-    for i in range(config.n_enc_layers):
-        add_ln(f"enc.{i}.ln1")
-        add_attn(f"enc.{i}.attn")
-        add_ln(f"enc.{i}.ln2")
-        add_ffn(f"enc.{i}.ffn")
-    add_ln("enc.ln_f")
-
-    for task in tasks:
-        task_key(task)
-        tensors[f"dec.{task}.tgt_embed"] = rng.normal(
-            0.0, 1.0 / math.sqrt(d), (config.tgt_vocab_size, d)
-        ).astype(dt)
-        for i in range(config.n_dec_layers):
-            add_ln(f"dec.{task}.{i}.ln1")
-            add_attn(f"dec.{task}.{i}.self_attn")
-            add_ln(f"dec.{task}.{i}.ln2")
-            add_attn(f"dec.{task}.{i}.cross_attn")
-            add_ln(f"dec.{task}.{i}.ln3")
-            add_ffn(f"dec.{task}.{i}.ffn")
-        add_ln(f"dec.{task}.ln_f")
-        tensors[f"dec.{task}.out.w"] = xavier(d, config.tgt_vocab_size)
-        tensors[f"dec.{task}.out.b"] = np.zeros(config.tgt_vocab_size, dtype=dt)
-
-    return ParamStore(config, tensors, tuple(tasks))
+    t = params.tensors
+    if embedding_init is not None and embedding_init.shape != shapes["src_embed"]:
+        raise ShapeMismatch(
+            f"embedding_init {embedding_init.shape}, expected {shapes['src_embed']}")
+    for name, shape in shapes.items():
+        if name == "src_embed" and embedding_init is not None:
+            t[name] = embedding_init
+        elif name.endswith("_embed"):
+            t[name] = rng.normal(0.0, 1.0 / math.sqrt(config.d_model), shape)
+        elif name.endswith(".g"):
+            t[name] = 1.0
+        elif len(shape) == 2:  # Xavier-uniform over (fan_in, fan_out)
+            limit = math.sqrt(6.0 / sum(shape))
+            t[name] = rng.uniform(-limit, limit, shape)
+    return params
 
 
 def positional_encoding(length: int, d_model: int, dtype) -> np.ndarray:
@@ -275,12 +316,13 @@ def _merge_heads(x):
 def _attend(q, k, v, add_mask):
     """Scaled dot-product softmax attention over split heads (B, h, T, dk);
     returns the merged context (B, Tq, d) and the weights (B, h, Tq, Tk)."""
-    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / math.sqrt(q.shape[-1]))
+    attn = np.matmul(q, k.transpose(0, 1, 3, 2))  # scores, softmaxed in place
+    attn *= 1.0 / math.sqrt(q.shape[-1])
     if add_mask is not None:
-        scores = scores + add_mask
-    scores -= scores.max(-1, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(-1, keepdims=True)
+        attn += add_mask
+    attn -= attn.max(-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(-1, keepdims=True)
     return _merge_heads(np.matmul(attn, v)), attn
 
 
@@ -306,9 +348,10 @@ def _mha_bwd(dout, cache, params, grads):
     grads[f"{name}.wo"] += np.tensordot(cache["ctx"], dout, axes=([0, 1], [0, 1]))
     dctx = _split_heads(dout @ t[f"{name}.wo"].T, h)
     attn, q, k, v = cache["attn"], cache["q"], cache["k"], cache["v"]
-    dattn = np.matmul(dctx, v.transpose(0, 1, 3, 2))
+    dscores = np.matmul(dctx, v.transpose(0, 1, 3, 2))  # d attn, to d scores in place
     dv = np.matmul(attn.transpose(0, 1, 3, 2), dctx)
-    dscores = attn * (dattn - (dattn * attn).sum(-1, keepdims=True))
+    dscores -= (dscores * attn).sum(-1, keepdims=True)
+    dscores *= attn
     dscores *= 1.0 / math.sqrt(q.shape[-1])
     dq = np.matmul(dscores, k)
     dk = np.matmul(dscores.transpose(0, 1, 3, 2), q)
@@ -342,11 +385,19 @@ def _ffn_bwd(dout, cache, params, grads):
     return dhid @ t[f"{name}.w1"].T
 
 
-def _sublayer_fwd(kind, params, name_ln, x, fwd, caches):
-    normed, ln_cache = _ln_fwd(x, params[f"{name_ln}.g"], params[f"{name_ln}.b"])
-    out, sub_cache = fwd(normed)
+def _sublayer_fwd(params, kind, name, ln, x, caches, rng, mask=None, kv=None,
+                  trace=None):
+    """Pre-LN residual x + sublayer(LN(x)). `kind` is attn (self-attention),
+    cross (attention over `kv`) or ffn; `caches` collects the tape."""
+    cfg = params.config
+    normed, ln_cache = _ln_fwd(x, params[f"{ln}.g"], params[f"{ln}.b"])
+    if kind == "ffn":
+        out, sub_cache = _ffn_fwd(params, name, normed, cfg.dropout, rng)
+    else:
+        out, sub_cache = _mha_fwd(params, name, normed, normed if kv is None else kv,
+                                  cfg.n_heads, mask, cfg.dropout, rng, trace)
     if caches is not None:
-        caches.append((kind, name_ln, ln_cache, sub_cache))
+        caches.append((kind, ln, ln_cache, sub_cache))
     return x + out
 
 
@@ -369,10 +420,10 @@ def _check_ids(ids, vocab_size, max_len, what):
 
 
 def _decoder_key(params: ParamStore, task) -> str:
-    key = task_key(task)
-    if f"dec.{key}.tgt_embed" not in params.tensors:
-        raise UnknownTask(f"decoder {key!r} not present in this ParamStore")
-    return key
+    task = _variant(task)
+    if task not in params.tasks:
+        raise UnknownTask(f"decoder {task.value!r} not present in this ParamStore")
+    return task.value
 
 
 def encode_batch(params: ParamStore, src_ids, rng=None, trace: AttentionTrace | None = None,
@@ -391,20 +442,11 @@ def encode_batch(params: ParamStore, src_ids, rng=None, trace: AttentionTrace | 
     )[None]
     add_mask = np.where(mask, 0.0, _NEG).astype(dt)[:, None, None, :]
     caches = [] if keep_caches else None
-    drop = cfg.dropout
     tl = trace.enc_self if trace is not None else None
     for i in range(cfg.n_enc_layers):
-        x = _sublayer_fwd(
-            "attn", params, f"enc.{i}.ln1", x,
-            lambda normed, i=i: _mha_fwd(params, f"enc.{i}.attn", normed, normed,
-                                         cfg.n_heads, add_mask, drop, rng, tl),
-            caches,
-        )
-        x = _sublayer_fwd(
-            "ffn", params, f"enc.{i}.ln2", x,
-            lambda normed, i=i: _ffn_fwd(params, f"enc.{i}.ffn", normed, drop, rng),
-            caches,
-        )
+        x = _sublayer_fwd(params, "attn", f"enc.{i}.attn", f"enc.{i}.ln1", x, caches,
+                          rng, add_mask, trace=tl)
+        x = _sublayer_fwd(params, "ffn", f"enc.{i}.ffn", f"enc.{i}.ln2", x, caches, rng)
     states, lnf_cache = _ln_fwd(x, params["enc.ln_f.g"], params["enc.ln_f.b"])
     tape = {"src_ids": src_ids, "mask": mask, "caches": caches, "lnf": lnf_cache}
     return states, tape
@@ -425,30 +467,15 @@ def decode_batch(params: ParamStore, task, states, src_mask, tgt_ids, rng=None,
     causal = causal.astype(dt)[None, None]
     cross_mask = np.where(src_mask, 0.0, _NEG).astype(dt)[:, None, None, :]
     caches = []
-    drop = cfg.dropout
     tl_self = trace.dec_self if trace is not None else None
     tl_cross = trace.cross if trace is not None else None
     for i in range(cfg.n_dec_layers):
-        x = _sublayer_fwd(
-            "attn", params, f"dec.{key}.{i}.ln1", x,
-            lambda normed, i=i: _mha_fwd(params, f"dec.{key}.{i}.self_attn", normed,
-                                         normed, cfg.n_heads, causal, drop, rng,
-                                         tl_self),
-            caches,
-        )
-        x = _sublayer_fwd(
-            "cross", params, f"dec.{key}.{i}.ln2", x,
-            lambda normed, i=i: _mha_fwd(params, f"dec.{key}.{i}.cross_attn", normed,
-                                         states, cfg.n_heads, cross_mask, drop, rng,
-                                         tl_cross),
-            caches,
-        )
-        x = _sublayer_fwd(
-            "ffn", params, f"dec.{key}.{i}.ln3", x,
-            lambda normed, i=i: _ffn_fwd(params, f"dec.{key}.{i}.ffn", normed,
-                                         drop, rng),
-            caches,
-        )
+        name = f"dec.{key}.{i}"
+        x = _sublayer_fwd(params, "attn", f"{name}.self_attn", f"{name}.ln1", x, caches,
+                          rng, causal, trace=tl_self)
+        x = _sublayer_fwd(params, "cross", f"{name}.cross_attn", f"{name}.ln2", x,
+                          caches, rng, cross_mask, states, tl_cross)
+        x = _sublayer_fwd(params, "ffn", f"{name}.ffn", f"{name}.ln3", x, caches, rng)
     normed, lnf_cache = _ln_fwd(x, params[f"dec.{key}.ln_f.g"],
                                 params[f"dec.{key}.ln_f.b"])
     logits = normed @ params[f"dec.{key}.out.w"] + params[f"dec.{key}.out.b"]
@@ -457,8 +484,9 @@ def decode_batch(params: ParamStore, task, states, src_mask, tgt_ids, rng=None,
     return logits, tape
 
 
-def zero_grads(params: ParamStore) -> dict[str, np.ndarray]:
-    return {n: np.zeros_like(v) for n, v in params.tensors.items()}
+def zero_grads(params: ParamStore) -> Arena:
+    """A zeroed gradient arena with the parameters' layout."""
+    return Arena(np.zeros_like(params.flat), params.tensors.shapes)
 
 
 def _tape_bwd(dx, caches, params, grads):
@@ -467,13 +495,12 @@ def _tape_bwd(dx, caches, params, grads):
     for kind, name_ln, ln_cache, sub_cache in reversed(caches):
         if kind == "ffn":
             dsub = _ffn_bwd(dx, sub_cache, params, grads)
-        elif kind == "attn":
-            dq, dkv = _mha_bwd(dx, sub_cache, params, grads)
-            dsub = dq + dkv
-        else:  # cross
-            dq, dkv = _mha_bwd(dx, sub_cache, params, grads)
-            dsub = dq
-            dstates = dkv if dstates is None else dstates + dkv
+        else:
+            dsub, dkv = _mha_bwd(dx, sub_cache, params, grads)
+            if kind == "attn":
+                dsub = dsub + dkv
+            else:  # cross: keys and values came from the encoder states
+                dstates = dkv if dstates is None else dstates + dkv
         dx = dx + _ln_bwd(dsub, ln_cache, grads, name_ln)
     return dx, dstates
 
@@ -531,12 +558,6 @@ def loss_batch(logits, gold_full):
     return float(value), dlogits
 
 
-def loss(logits: np.ndarray, gold_target_ids: Sequence[int]) -> float:
-    """Single-sequence cross entropy with teacher-forcing alignment."""
-    value, _ = loss_batch(logits[None], np.asarray(gold_target_ids)[None])
-    return value
-
-
 def loss_and_grads_batch(params: ParamStore, task, src_ids, tgt_full, rng=None,
                          grads=None):
     """Forward + backward over a homogeneous-task padded batch."""
@@ -546,10 +567,7 @@ def loss_and_grads_batch(params: ParamStore, task, src_ids, tgt_full, rng=None,
     logits, dec_tape = decode_batch(params, task, states, enc_tape["mask"],
                                     np.asarray(tgt_full)[:, :-1], rng=rng)
     value, dlogits = loss_batch(logits, tgt_full)
-    dstates = decode_bwd(dlogits, dec_tape, params, grads)
-    if dstates is None:
-        dstates = np.zeros_like(states)
-    encode_bwd(dstates, enc_tape, params, grads)
+    encode_bwd(decode_bwd(dlogits, dec_tape, params, grads), enc_tape, params, grads)
     return value, grads
 
 
@@ -630,8 +648,7 @@ def _greedy_chunk(params, key, sources, limit, with_trace):
             if with_trace:
                 cross[i].append(weights[:, :, 0])
             x = x + ctx @ t[f"{attn}.wo"]
-            normed, _ = _ln_fwd(x, t[f"{name}.ln3.g"], t[f"{name}.ln3.b"])
-            x = x + _ffn_fwd(params, f"{name}.ffn", normed, 0.0, None)[0]
+            x = _sublayer_fwd(params, "ffn", f"{name}.ffn", f"{name}.ln3", x, None, None)
         if pos == limit:
             break
         normed, _ = _ln_fwd(x[:, 0], t[f"dec.{key}.ln_f.g"], t[f"dec.{key}.ln_f.b"])

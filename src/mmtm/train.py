@@ -2,16 +2,17 @@
 
 Pre-training draws homogeneous batches round-robin over the three traversal
 tasks; every batch updates the shared encoder plus that task's decoder only.
-Fine-tuning drops the in-order/post-order decoders: their tensors are never
+Fine-tuning drops the in-order/post-order decoders: their arena spans are never
 touched, which tests assert by checksum.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -19,9 +20,6 @@ from . import checkpoint, dataset, evaluate, expr, model, pca_init
 from .dataset import MwpRecord, TaskExample, Vocab
 from .expr import TraversalVariant
 from .model import ModelConfig, ParamStore
-
-TASK_ORDER = (TraversalVariant.PRE_ORDER, TraversalVariant.IN_ORDER,
-              TraversalVariant.POST_ORDER)
 
 
 class TrainError(Exception):
@@ -62,12 +60,6 @@ class TrainLog:
     epochs: list[dict] = field(default_factory=list)
     wall_clock_s: float = 0.0
 
-    def add_step(self, **kv):
-        self.steps.append(kv)
-
-    def add_epoch(self, **kv):
-        self.epochs.append(kv)
-
     def to_jsonl(self) -> str:
         # wall clock is reported separately so logs stay run-to-run identical
         lines = [json.dumps({"kind": "step", **s}, sort_keys=True) for s in self.steps]
@@ -77,36 +69,45 @@ class TrainLog:
 
 
 class Adam:
-    """Per-tensor Adam with global-norm gradient clipping."""
+    """Adam with global-norm gradient clipping over spans of the parameter
+    arena; the moments are arena-sized."""
 
     def __init__(self, plan: TrainPlan):
         self.plan = plan
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m = self.v = None  # arena-sized moments, made at the first step
         self.t = 0
 
-    def step(self, params: ParamStore, grads: dict[str, np.ndarray], lr: float,
-             names: Optional[Sequence[str]] = None):
+    def step(self, params: ParamStore, grads: model.Arena, lr: float,
+             names: Optional[Sequence[tuple[int, int]]] = None):
+        """Update the `names` spans of params.flat, (start, stop) offsets
+        (default: all), from the gradient arena; leaves those gradients zeroed."""
         plan = self.plan
-        names = [n for n in (names if names is not None else grads) if n in grads]
-        total = 0.0
-        for n in names:
-            total += float((grads[n] * grads[n]).sum())
-        norm = total ** 0.5
+        spans = [(0, params.size())] if names is None else list(names)
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
+        tmp = np.empty(max(stop - start for start, stop in spans),
+                       dtype=params.flat.dtype)
+        norm = sum(float(np.square(grads[span], out=tmp[:span[1] - span[0]]).sum())
+                   for span in spans) ** 0.5
         scale = plan.clip_norm / norm if norm > plan.clip_norm else 1.0
         self.t += 1
         bc1 = 1.0 - plan.beta1 ** self.t
         bc2 = 1.0 - plan.beta2 ** self.t
-        for n in names:
-            g = grads[n] * scale
-            if n not in self.m:
-                self.m[n] = np.zeros_like(g)
-                self.v[n] = np.zeros_like(g)
-            self.m[n] = plan.beta1 * self.m[n] + (1 - plan.beta1) * g
-            self.v[n] = plan.beta2 * self.v[n] + (1 - plan.beta2) * g * g
-            mhat = self.m[n] / bc1
-            vhat = self.v[n] / bc2
-            params.tensors[n] -= lr * mhat / (np.sqrt(vhat) + plan.eps)
+        # Per element, in this order: m = b1*m + (1-b1)*g;
+        # v = b2*v + (1-b2)*g*g; p -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
+        for start, stop in spans:
+            g, m, v = grads.flat[start:stop], self.m[start:stop], self.v[start:stop]
+            t = tmp[:stop - start]
+            g *= scale
+            m *= plan.beta1
+            m += np.multiply(g, 1 - plan.beta1, out=t)
+            v *= plan.beta2
+            v += np.multiply(np.multiply(g, 1 - plan.beta2, out=t), g, out=t)
+            np.sqrt(np.divide(v, bc2, out=g), out=g)
+            g += plan.eps
+            np.multiply(np.divide(m, bc1, out=t), lr, out=t)
+            params.flat[start:stop] -= np.divide(t, g, out=t)
+            g.fill(0.0)
 
 
 def pad_batch(examples: Sequence[TaskExample]):
@@ -129,27 +130,32 @@ def _batches(examples: list[TaskExample], batch_size: int, rng: np.random.Genera
     ]
 
 
-def _trainable_names(params: ParamStore, task_k: str) -> list[str]:
-    return [n for n in params.tensors
-            if not n.startswith("dec.") or n.startswith(f"dec.{task_k}.")]
-
-
-def _grad_buffers(params: ParamStore, names: Sequence[str]):
-    return {n: np.zeros_like(params.tensors[n]) for n in names}
-
-
-def _train_step(params, opt, batch, lr, rng, log, stage, epoch, step):
-    task_k = model.task_key(batch[0].task)
-    names = _trainable_names(params, task_k)
-    src, tgt = pad_batch(batch)
-    value, grads = model.loss_and_grads_batch(
-        params, batch[0].task, src, tgt, rng=rng, grads=_grad_buffers(params, names)
-    )
-    if not np.isfinite(value):
-        raise NonFiniteLoss(f"{stage} step {step}: loss={value}")
-    opt.step(params, grads, lr, names)
-    log.add_step(stage=stage, epoch=epoch, step=step, task=task_k, loss=value)
-    return value
+def _run_stage(params: ParamStore, opt: Adam, stage: str, lr: float,
+               epochs: Iterable[list[list[TaskExample]]], drop_seed: int) -> TrainLog:
+    """One step per batch of each epoch's batch list, on one gradient arena. A
+    batch updates the shared encoder and its task's decoder: fixed arena spans."""
+    drop_rng = np.random.default_rng(drop_seed) if params.config.dropout > 0 else None
+    grads = model.zero_grads(params)
+    spans = {task: params.spans(task) for task in params.tasks}
+    log = TrainLog()
+    started = time.monotonic()
+    for epoch, batches in enumerate(epochs):
+        losses = []
+        for batch in batches:
+            task = batch[0].task
+            src, tgt = pad_batch(batch)
+            value, _ = model.loss_and_grads_batch(params, task, src, tgt,
+                                                  rng=drop_rng, grads=grads)
+            if not np.isfinite(value):
+                raise NonFiniteLoss(f"{stage} step {len(log.steps)}: loss={value}")
+            opt.step(params, grads, lr, spans[task])
+            log.steps.append(dict(stage=stage, epoch=epoch, step=len(log.steps),
+                                  task=task.value, loss=value))
+            losses.append(value)
+        log.epochs.append(dict(stage=stage, epoch=epoch,
+                               mean_loss=float(np.mean(losses))))
+    log.wall_clock_s = time.monotonic() - started
+    return log
 
 
 def pretrain_multitask(
@@ -159,29 +165,20 @@ def pretrain_multitask(
     opt: Optional[Adam] = None,
 ) -> tuple[ParamStore, TrainLog]:
     """Round-robin homogeneous-task batches through the three decoders."""
-    for variant in TASK_ORDER:
+    for variant in TraversalVariant:
         if not datasets.get(variant):
             raise EmptyTaskDataset(f"no examples for task {variant.value!r}")
-    opt = opt or Adam(plan)
     rng = np.random.default_rng(plan.seed)
-    drop_rng = np.random.default_rng(plan.seed + 1) if params.config.dropout > 0 else None
-    log = TrainLog()
-    started = time.monotonic()
-    step = 0
-    for epoch in range(plan.pretrain_epochs):
-        per_task = {v: _batches(datasets[v], plan.batch_size, rng) for v in TASK_ORDER}
-        losses = []
-        for i in range(max(len(b) for b in per_task.values())):
-            for variant in TASK_ORDER:
-                if i < len(per_task[variant]):
-                    losses.append(_train_step(
-                        params, opt, per_task[variant][i], plan.pretrain_lr,
-                        drop_rng, log, "pretrain", epoch, step))
-                    step += 1
-        log.add_epoch(stage="pretrain", epoch=epoch,
-                      mean_loss=float(np.mean(losses)))
-    log.wall_clock_s = time.monotonic() - started
-    return params, log
+
+    def epochs():
+        for _ in range(plan.pretrain_epochs):
+            per_task = [_batches(datasets[v], plan.batch_size, rng)
+                        for v in TraversalVariant]
+            yield [batch for row in itertools.zip_longest(*per_task)
+                   for batch in row if batch is not None]
+
+    return params, _run_stage(params, opt or Adam(plan), "pretrain",
+                              plan.pretrain_lr, epochs(), plan.seed + 1)
 
 
 def finetune(
@@ -193,21 +190,11 @@ def finetune(
     """Update the encoder and pre-order decoder only."""
     if not preorder_dataset:
         raise EmptyTaskDataset("no pre-order examples")
-    opt = opt or Adam(plan)
     rng = np.random.default_rng(plan.seed + 2)
-    drop_rng = np.random.default_rng(plan.seed + 3) if params.config.dropout > 0 else None
-    log = TrainLog()
-    started = time.monotonic()
-    step = 0
-    for epoch in range(plan.finetune_epochs):
-        losses = []
-        for batch in _batches(preorder_dataset, plan.batch_size, rng):
-            losses.append(_train_step(params, opt, batch, plan.finetune_lr,
-                                      drop_rng, log, "finetune", epoch, step))
-            step += 1
-        log.add_epoch(stage="finetune", epoch=epoch, mean_loss=float(np.mean(losses)))
-    log.wall_clock_s = time.monotonic() - started
-    return params, log
+    epochs = (_batches(preorder_dataset, plan.batch_size, rng)
+              for _ in range(plan.finetune_epochs))
+    return params, _run_stage(params, opt or Adam(plan), "finetune",
+                              plan.finetune_lr, epochs, plan.seed + 3)
 
 
 @dataclass
@@ -257,7 +244,7 @@ def train_pipeline(
     if embeddings is not None:
         embedding_init = pca_init.init_vocab_embeddings(
             vocab, embeddings, config.d_model, seed=config.seed)
-    tasks = model.TASKS if pretrain else ("pre",)
+    tasks = tuple(TraversalVariant) if pretrain else (TraversalVariant.PRE_ORDER,)
     params = model.init_params(config, embedding_init=embedding_init, tasks=tasks)
     examples = dataset.augment_corpus(records, vocab)
     pre_log = None

@@ -7,6 +7,43 @@ import pytest
 from mmtm import checkpoint, dataset, model
 
 
+def old_save(path, params, vocab):
+    """The per-tensor v1 writer that wrote checkpoints before the arena."""
+    manifest, offset = [], 0
+    for name in sorted(params.tensors):
+        shape = list(params.tensors[name].shape)
+        manifest.append({"name": name, "shape": shape, "offset": offset})
+        offset += int(np.prod(shape)) * 8
+    header = {
+        "format_version": 1, "config": params.config.to_dict(),
+        "tasks": [t.value for t in params.tasks],
+        "src_vocab": vocab.src_itos, "tgt_vocab": vocab.tgt_itos,
+        "src_vocab_hash": checkpoint.vocab_hash(vocab.src_itos),
+        "tgt_vocab_hash": checkpoint.vocab_hash(vocab.tgt_itos),
+        "payload_dtype": "<f8", "manifest": manifest,
+    }
+    blob = json.dumps(header, sort_keys=True).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(checkpoint.MAGIC + struct.pack("<Q", len(blob)) + blob)
+        for entry in manifest:
+            fh.write(np.ascontiguousarray(params.tensors[entry["name"]],
+                                          dtype="<f8").tobytes())
+
+
+def rewrite(src, dst, edit_header=None, edit_payload=None):
+    """Copy a checkpoint, passing its header dict and payload bytes through edits."""
+    blob = src.read_bytes()
+    (hlen,) = struct.unpack("<Q", blob[4:12])
+    header, payload = json.loads(blob[12:12 + hlen]), blob[12 + hlen:]
+    if edit_header:
+        edit_header(header)
+    if edit_payload:
+        payload = edit_payload(payload)
+    new = json.dumps(header, sort_keys=True).encode()
+    dst.write_bytes(blob[:4] + struct.pack("<Q", len(new)) + new + payload)
+    return dst
+
+
 def small_store():
     vocab = dataset.Vocab(["cat", "sat"], ["+", "number0", "number1"])
     cfg = model.ModelConfig(src_vocab_size=vocab.src_size,
@@ -70,3 +107,75 @@ class TestMismatch:
         path.write_bytes(b"hello world")
         with pytest.raises(checkpoint.CheckpointError):
             checkpoint.load(path)
+
+
+class TestArena:
+    def test_tensors_are_views_of_flat(self):
+        params, _ = small_store()
+        assert params.flat.ndim == 1 and params.flat.flags.c_contiguous
+        for name, view in params.tensors.items():
+            assert np.shares_memory(view, params.flat), name
+        copy = params.copy()
+        assert not np.shares_memory(copy.flat, params.flat)
+        for name, view in copy.tensors.items():
+            assert np.shares_memory(view, copy.flat)
+            assert not np.shares_memory(view, params.flat), name
+        np.testing.assert_array_equal(copy.flat, params.flat)
+
+    def test_assignment_writes_into_the_arena(self):
+        params, _ = small_store()
+        view = params.tensors["src_embed"]
+        params.tensors["src_embed"] = 2.5
+        assert params.tensors["src_embed"] is view
+        assert (view == 2.5).all()
+        with pytest.raises(KeyError):  # names are fixed
+            params.tensors["new"] = 1.0
+
+    def test_old_writer_file_loads_bit_identical(self, tmp_path):
+        params, vocab = small_store()
+        old_save(tmp_path / "old.mmtm", params, vocab)
+        checkpoint.save(tmp_path / "new.mmtm", params, vocab)
+        assert (tmp_path / "old.mmtm").read_bytes() == (tmp_path / "new.mmtm").read_bytes()
+        loaded = checkpoint.load(tmp_path / "old.mmtm")
+        assert loaded.params.flat.tobytes() == params.flat.tobytes()
+        for name in params.tensors:
+            assert loaded.params[name].tobytes() == params[name].tobytes()
+
+    def test_save_load_save_byte_identical(self, tmp_path):
+        params, vocab = small_store()
+        checkpoint.save(tmp_path / "a", params, vocab)
+        loaded = checkpoint.load(tmp_path / "a")
+        checkpoint.save(tmp_path / "b", loaded.params, loaded.vocab)
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+def _swap_first_two(header):
+    header["manifest"][:2] = header["manifest"][1::-1]
+
+
+class TestValidation:
+    @pytest.fixture
+    def saved(self, tmp_path):
+        params, vocab = small_store()
+        checkpoint.save(tmp_path / "m.mmtm", params, vocab)
+        return tmp_path / "m.mmtm"
+
+    @pytest.mark.parametrize("edit_header, edit_payload", [
+        (lambda h: h.pop("payload_dtype"), None),  # a required key is missing
+        (lambda h: h.pop("manifest"), None),
+        (_swap_first_two, None),  # manifest not in sorted order
+        (lambda h: h["manifest"][3].update(offset=h["manifest"][3]["offset"] + 8),
+         None),  # manifest not contiguous
+        (None, lambda p: p[:-100]),  # truncated payload
+        (None, lambda p: p + b"\0" * 8),  # trailing bytes
+        (lambda h: h.update(tasks=["pre", "in"]), None),  # dec.post.* not in tasks
+        (lambda h: h.update(tasks=["pre", "in", "post", "sideways"]), None),
+        (lambda h: h["config"].update(d_model=9), None),  # config cannot be built
+        (lambda h: h["config"].update(colour="red"), None),
+    ], ids=["no-dtype", "no-manifest", "unsorted", "gap", "truncated", "trailing",
+            "missing-task", "unknown-task", "bad-config", "unknown-config-key"])
+    def test_inconsistent_file_rejected(self, saved, tmp_path, edit_header,
+                                        edit_payload):
+        bad = rewrite(saved, tmp_path / "bad.mmtm", edit_header, edit_payload)
+        with pytest.raises(checkpoint.CheckpointError):
+            checkpoint.load(bad)

@@ -120,6 +120,26 @@ class TestTrain:
             in captured.err
         assert "trained on 40 records" in captured.out
 
+    def test_dim_not_divisible_by_heads_exit_2(self, corpus_path, tmp_path, capsys):
+        rc = cli.main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path),
+                       "--dim", "30"])
+        assert rc == 2
+        assert "not divisible by n_heads=4" in capsys.readouterr().err
+
+    def test_zero_batch_size_exit_2(self, corpus_path, tmp_path, capsys):
+        rc = cli.main(["train", "--corpus", str(corpus_path)]
+                      + fast_train_flags(tmp_path) + ["--batch-size", "0"])
+        assert rc == 2
+        assert "batch_size must be >= 1" in capsys.readouterr().err
+
+    def test_only_overlength_record_exit_2(self, tmp_path, capsys):
+        corpus = tmp_path / "train.jsonl"
+        synth.write_corpus(corpus, [long_question_row("long-q", 200)])
+        rc = cli.main(["train", "--corpus", str(corpus)]
+                      + fast_train_flags(tmp_path / "o"))
+        assert rc == 2
+        assert "no examples for task 'pre'" in capsys.readouterr().err
+
 
 @pytest.fixture(scope="module")
 def trained_dir(corpus_path, tmp_path_factory):
@@ -176,6 +196,16 @@ class TestEval:
         rc = cli.main(["eval", "--checkpoint", str(bad), "--test",
                        str(test_path)])
         assert rc == 3
+
+    def test_truncated_checkpoint_exit_3(self, trained_dir, test_path, tmp_path,
+                                         capsys):
+        bad = tmp_path / "truncated.mmtm"
+        blob = (trained_dir / "checkpoint_final.mmtm").read_bytes()
+        bad.write_bytes(blob[:-100])
+        rc = cli.main(["eval", "--checkpoint", str(bad), "--test",
+                       str(test_path)])
+        assert rc == 3
+        assert "payload is" in capsys.readouterr().err
 
 
 class TestSweep:

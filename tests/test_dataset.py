@@ -78,6 +78,20 @@ class TestLoadCorpus:
         assert load.quarantined[0]["id"] == "bad"
         assert "evaluates to 8" in load.quarantined[0]["reason"]
 
+    def test_empty_question_quarantined(self, tmp_path):
+        empty = {"id": "e", "question": "", "equation": "1 + 2", "answer": 3}
+        with pytest.raises(dataset.MalformedRecord):
+            dataset.make_record(empty)
+        path = self._write(tmp_path, [
+            empty,
+            {"id": "a", "question": "had 5 and got 3 more", "equation":
+                "number0 + number1", "answer": 8},
+        ])
+        load = dataset.load_corpus(path)
+        assert [r.id for r in load.records] == ["a"]
+        assert load.quarantined[0]["id"] == "e"
+        assert "no tokens" in load.quarantined[0]["reason"]
+
     def test_missing_field_quarantined(self, tmp_path):
         path = self._write(tmp_path, [{"id": "x", "question": "5 and 3"}])
         load = dataset.load_corpus(path)

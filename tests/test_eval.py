@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mmtm import dataset, evaluate, expr
+from mmtm import dataset, evaluate, expr, synth
 from mmtm.evaluate import EvalReport, Verdict
 from conftest import long_question_row
 
@@ -33,9 +33,9 @@ class TestAnswersMatch:
 
 class TestPredictAnswer:
     def test_memorized_record_returns_gold(self, memorized, corpus12):
-        answer, verdict = evaluate.predict_answer(memorized, corpus12[0])
+        verdict = evaluate.score(memorized, [corpus12[0]]).verdicts[0]
         assert verdict.correct
-        assert answer == corpus12[0].answer
+        assert Fraction(verdict.predicted_answer) == corpus12[0].answer
 
     def test_malformed_decode_counts_incorrect(self):
         tokens = ["+", "number0"]
@@ -49,7 +49,7 @@ class TestPredictAnswer:
             id=rec.id, question=rec.question, masked_question=rec.masked_question,
             equation=rec.equation, answer=rec.answer,
             quantities=tuple(), op_count=rec.op_count, op_types=rec.op_types)
-        _, verdict = evaluate.predict_answer(memorized, broken)
+        verdict = evaluate.score(memorized, [broken]).verdicts[0]
         assert not verdict.correct
         assert verdict.failure_reason in ("eval_error", "decode_malformed")
 
@@ -77,6 +77,16 @@ class TestScore:
         assert verdict.record_id == "long-q" and not verdict.correct
         assert verdict.failure_reason == "input_too_long"
         assert verdict.predicted_tokens == [] and verdict.predicted_answer is None
+
+    def test_empty_question_line_quarantined_not_scored(self, memorized, tmp_path):
+        path = tmp_path / "test.jsonl"
+        rows = synth.generate_raw(4, seed=21)
+        synth.write_corpus(path, rows + [{"id": "empty", "question": "",
+                                          "equation": "1 + 2", "answer": 3}])
+        load = dataset.load_corpus(path)
+        assert [q["id"] for q in load.quarantined] == ["empty"]
+        report = evaluate.score(memorized, load.records)
+        assert [v.record_id for v in report.verdicts] == [r["id"] for r in rows]
 
     def test_op_cohorts_by_inclusion(self, memorized, corpus12):
         report = evaluate.score(memorized, corpus12)

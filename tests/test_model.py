@@ -164,28 +164,34 @@ class TestAttention:
             assert np.abs(mat[:, future]).max() == 0.0
 
 
+def loss(logits, gold):
+    return model.loss_batch(logits[None], np.asarray(gold)[None])[0]
+
+
 class TestLoss:
+    """Single sequences through loss_batch as one-row batches."""
+
     def test_uniform_logits_give_log_v(self):
         logits = np.zeros((3, 12))
         gold = [BOS, 4, 5, EOS]
-        assert model.loss(logits, gold) == pytest.approx(np.log(12))
+        assert loss(logits, gold) == pytest.approx(np.log(12))
 
     def test_confident_correct_logits_near_zero(self):
         gold = [BOS, 4, 5, EOS]
         logits = np.full((3, 12), -100.0)
         for t, g in enumerate(gold[1:]):
             logits[t, g] = 100.0
-        assert model.loss(logits, gold) < 1e-8
+        assert loss(logits, gold) < 1e-8
 
     def test_pad_positions_excluded(self):
         gold = [BOS, 4, EOS, PAD]
         logits = np.zeros((3, 12))
         logits[2] = np.random.default_rng(0).normal(size=12) * 50
-        assert model.loss(logits, gold) == pytest.approx(np.log(12))
+        assert loss(logits, gold) == pytest.approx(np.log(12))
 
     def test_all_pad_target_raises(self):
         with pytest.raises(model.EmptyTarget):
-            model.loss(np.zeros((2, 12)), [BOS, PAD, PAD])
+            loss(np.zeros((2, 12)), [BOS, PAD, PAD])
 
 
 class TestBackward:

@@ -120,6 +120,78 @@ class TestFinetune:
         assert means[-1] < means[0]
 
 
+class ReferenceAdam:
+    """Per-tensor Adam over a name list, the update the arena Adam replaces."""
+
+    def __init__(self, plan):
+        self.plan, self.m, self.v, self.t = plan, {}, {}, 0
+
+    def step(self, tensors, grads, lr, names):
+        plan = self.plan
+        norm = sum(float((grads[n] * grads[n]).sum()) for n in names) ** 0.5
+        scale = plan.clip_norm / norm if norm > plan.clip_norm else 1.0
+        self.t += 1
+        bc1 = 1.0 - plan.beta1 ** self.t
+        bc2 = 1.0 - plan.beta2 ** self.t
+        for n in names:
+            g = grads[n] * scale
+            m = self.m.get(n, np.zeros_like(g))
+            v = self.v.get(n, np.zeros_like(g))
+            self.m[n] = plan.beta1 * m + (1 - plan.beta1) * g
+            self.v[n] = plan.beta2 * v + (1 - plan.beta2) * g * g
+            mhat = self.m[n] / bc1
+            vhat = self.v[n] / bc2
+            tensors[n] -= lr * mhat / (np.sqrt(vhat) + plan.eps)
+
+
+class TestAdamParity:
+    def _run(self, clip_norm):
+        _, _, cfg, examples = small_setup(dropout=0.0)
+        plan = train.TrainPlan(clip_norm=clip_norm, seed=1)
+        arena, ref = model.init_params(cfg), model.init_params(cfg)
+        opt, ref_opt = train.Adam(plan), ReferenceAdam(plan)
+        grads = model.zero_grads(arena)
+        clipped = 0
+        for step in range(9):
+            task = list(TraversalVariant)[step % 3]
+            src, tgt = train.pad_batch(examples[task][4 * (step // 3):][:4])
+            model.loss_and_grads_batch(arena, task, src, tgt, grads=grads)
+            opt.step(arena, grads, 1e-2, arena.spans(task))
+            _, ref_grads = model.loss_and_grads_batch(ref, task, src, tgt)
+            names = [n for n in ref.tensors if not n.startswith("dec.")
+                     or n.startswith(f"dec.{task.value}.")]
+            ref_opt.step(ref.tensors, ref_grads, 1e-2, names)
+            clipped += sum(float((ref_grads[n] ** 2).sum()) for n in names) > clip_norm ** 2
+            assert not grads.flat.any()  # the step leaves the gradient arena zeroed
+        return arena, ref, clipped
+
+    def test_bit_identical_without_clipping(self):
+        arena, ref, clipped = self._run(clip_norm=1e9)
+        assert clipped == 0
+        assert arena.flat.tobytes() == ref.flat.tobytes()
+
+    def test_close_with_clipping(self):
+        arena, ref, clipped = self._run(clip_norm=0.5)
+        assert clipped == 9
+        np.testing.assert_allclose(arena.flat, ref.flat, rtol=1e-12, atol=0)
+
+    def test_spans_cover_shared_and_own_decoder(self):
+        _, _, cfg, _ = small_setup()
+        params = model.init_params(cfg)
+        for task in TraversalVariant:
+            covered = np.zeros(params.size(), dtype=bool)
+            for start, stop in params.spans(task):
+                covered[start:stop] = True
+            assert len(params.spans(task)) == (1 if task.value == "pre" else 2)
+            for name, view in params.tensors.items():
+                trainable = not name.startswith("dec.") or \
+                    name.startswith(f"dec.{task.value}.")
+                offset = (view.__array_interface__["data"][0]
+                          - params.flat.__array_interface__["data"][0]) // 8
+                assert covered[offset:offset + view.size].all() == trainable
+                assert covered[offset:offset + view.size].any() == trainable
+
+
 class TestLengthQuarantine:
     def test_overlength_record_quarantined(self):
         records = make_records(40, seed=8)
