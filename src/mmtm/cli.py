@@ -1,8 +1,9 @@
 """Command-line entry point: augment / train / eval / sweep subcommands.
 
-Exit codes: 0 success, 2 input error, 3 checkpoint/config mismatch,
-4 numeric failure (non-finite loss). A run manifest is written into the
-output directory before any long computation starts.
+Exit codes: 0 success, 2 input error (including an input path that cannot
+be read or is not UTF-8 text), 3 checkpoint/config mismatch, 4 numeric
+failure (non-finite loss). A run manifest is written into the output
+directory before any long computation starts.
 """
 
 from __future__ import annotations
@@ -69,19 +70,37 @@ def _write_manifest(out_dir: Path, command: str, args, inputs: dict,
     return manifest
 
 
+def _read_config_file(path: str, defaults: dict) -> dict:
+    """The config file's values for the keys in `defaults`, each of the
+    default's type (an int is accepted where the default is a float)."""
+    file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(file_cfg, dict):
+        raise CliInputError(f"config file {path} must hold a JSON object")
+    values = {k: file_cfg[k] for k in defaults if k in file_cfg}
+    for key, value in values.items():
+        kind = type(defaults[key])
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise CliInputError(f"config file {path}: {key!r} must be "
+                                f"{kind.__name__}, got {value!r}")
+    return values
+
+
 def _resolve_config_plan(args):
     """Config file values first, then flags (flags win)."""
-    file_cfg = {}
-    if getattr(args, "config", None):
-        file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
     cfg = {
         "d_model": 64, "n_enc_layers": 1, "n_dec_layers": 1, "n_heads": 4,
         "dropout": 0.1, "dtype": "float64",
         "max_src_len": 128, "max_tgt_len": 48,
     }
-    cfg.update({k: file_cfg[k] for k in cfg if k in file_cfg})
     plan_keys = ("pretrain_epochs", "finetune_epochs", "pretrain_lr", "finetune_lr",
                  "batch_size")
+    file_cfg = {}
+    if getattr(args, "config", None):
+        plan_defaults = train.TrainPlan()
+        file_cfg = _read_config_file(
+            args.config, {**cfg, **{k: getattr(plan_defaults, k) for k in plan_keys}})
+    cfg.update({k: file_cfg[k] for k in cfg if k in file_cfg})
     plan_kv = {k: file_cfg[k] for k in plan_keys if k in file_cfg}
     if getattr(args, "dim", None):
         cfg["d_model"] = args.dim
@@ -205,6 +224,7 @@ def cmd_sweep(args) -> int:
                 rows.append(row)
     cfg_kv, plan_kv = _resolve_config_plan(args)
     plan = train.TrainPlan(**plan_kv)
+    vocab = dataset.build_vocab(load.records)
     for dim in dims:
         for layers in layer_counts:
             for init_kind in inits:
@@ -215,10 +235,10 @@ def cmd_sweep(args) -> int:
                            n_dec_layers=layers)
                 if dim % cfg["n_heads"] != 0:
                     cfg["n_heads"] = 2 if dim % 2 == 0 else 1
-                config = model.ModelConfig(src_vocab_size=8, tgt_vocab_size=8,
-                                           **cfg)
+                config = model.ModelConfig(src_vocab_size=vocab.src_size,
+                                           tgt_vocab_size=vocab.tgt_size, **cfg)
                 result = train.train_pipeline(
-                    load.records, config, plan,
+                    load.records, config, plan, vocab=vocab,
                     embeddings=embeddings if init_kind == "pca" else None)
                 report = evaluate.score(result.trained, test.records)
                 rows.append({"dim": dim, "layers": layers, "init": init_kind,
@@ -307,7 +327,8 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CliInputError, dataset.DatasetError, pca_init.PcaError, model.ModelError,
-            train.TrainError, FileNotFoundError, json.JSONDecodeError) as e:
+            train.TrainError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except checkpoint.CheckpointError as e:

@@ -7,6 +7,7 @@ unmatched tokens get seeded Gaussian rows scaled to the matched rows' norm.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,33 +30,67 @@ class NoOverlap(PcaError):
 
 @dataclass
 class PretrainedEmbeddings:
-    vectors: dict[str, np.ndarray]
+    """Token -> vector table. Vector widths are checked where the vectors are
+    used, by `init_vocab_embeddings`."""
+
+    vectors: Mapping[str, np.ndarray]
     width: int
     source_path: str = ""
 
-    def __post_init__(self):
-        for token, vec in self.vectors.items():
-            if vec.shape != (self.width,):
-                raise BadDim(f"vector for {token!r} has width {vec.shape}")
+
+class _TsvRows(Mapping):
+    """Token -> float64 vector over the unparsed rows of an embedding TSV.
+    A row is converted each time it is looked up."""
+
+    def __init__(self, path: str, lines: dict[str, str]):
+        self._path = path
+        self._lines = lines
+
+    def __getitem__(self, token: str) -> np.ndarray:
+        try:
+            return np.array([float(v) for v in self._lines[token].split("\t")[1:]])
+        except ValueError:
+            raise PcaError(f"{self._path}: row for {token!r} has a non-numeric "
+                           "value") from None
+
+    def __contains__(self, token) -> bool:
+        return token in self._lines
+
+    def __iter__(self):
+        return iter(self._lines)
+
+    def __len__(self) -> int:
+        return len(self._lines)
 
 
 def load_embeddings_tsv(path: str | Path) -> PretrainedEmbeddings:
-    """TSV format: first line "D=<width>", then token<TAB>v1<TAB>...<TAB>vD."""
-    vectors: dict[str, np.ndarray] = {}
+    """TSV format: first line "D=<width>", then token<TAB>v1<TAB>...<TAB>vD.
+
+    The header and each row's width (its tab count) are checked here; blank
+    lines are skipped, and a repeated token keeps its last row, in the place
+    of its first. Values are converted to float64 only when a row is looked
+    up, so a row the vocabulary never uses is never converted, and a
+    non-numeric value in it is never reported.
+    """
+    lines: dict[str, str] = {}
     with open(path, encoding="utf-8") as fh:
         head = fh.readline().strip()
-        if not head.startswith("D="):
-            raise PcaError(f"{path}: first line must be D=<width>")
-        width = int(head[2:])
+        try:
+            width = int(head[2:]) if head.startswith("D=") else 0
+        except ValueError:
+            width = 0
+        if width < 1:
+            raise PcaError(f"{path}: first line must be D=<positive width>, "
+                           f"got {head!r}")
         for line in fh:
-            line = line.rstrip("\n")
-            if not line:
+            if line == "\n":
                 continue
-            parts = line.split("\t")
-            if len(parts) != width + 1:
-                raise PcaError(f"{path}: row for {parts[0]!r} has wrong width")
-            vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
-    return PretrainedEmbeddings(vectors, width, source_path=str(path))
+            if line.count("\t") != width:
+                token = line.rstrip("\n").split("\t", 1)[0]
+                raise PcaError(f"{path}: row for {token!r} has wrong width")
+            lines[line[:line.index("\t")]] = line
+    return PretrainedEmbeddings(_TsvRows(str(path), lines), width,
+                                source_path=str(path))
 
 
 def write_embeddings_tsv(path: str | Path, pretrained: PretrainedEmbeddings) -> None:
@@ -101,7 +136,9 @@ def init_vocab_embeddings(
     vocab: Vocab, pretrained: PretrainedEmbeddings, d: int, seed: int
 ) -> np.ndarray:
     """Source embedding matrix: PCA-projected rows for tokens found in the
-    pretrained table, norm-matched Gaussian rows for everything else."""
+    pretrained table, norm-matched Gaussian rows for everything else. Only
+    the found tokens' vectors are read, and each must have the table's
+    width."""
     if d > pretrained.width:
         raise BadDim(f"d={d} exceeds pretrained width {pretrained.width}")
     matched = [(i, tok) for i, tok in enumerate(vocab.src_itos)
@@ -110,7 +147,11 @@ def init_vocab_embeddings(
         raise NoOverlap(
             f"only {len(matched)} vocabulary tokens found in the pretrained table"
         )
-    stack = np.stack([pretrained.vectors[tok] for _, tok in matched])
+    rows = [pretrained.vectors[tok] for _, tok in matched]
+    for (_, tok), row in zip(matched, rows):
+        if row.shape != (pretrained.width,):
+            raise BadDim(f"vector for {tok!r} has width {row.shape}")
+    stack = np.stack(rows)
     projected, _, _ = pca_project(stack, d)
     out = np.zeros((vocab.src_size, d))
     for row, (i, _) in zip(projected, matched):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mmtm import cli, pca_init, synth
+from mmtm import cli, dataset, pca_init, synth
 from mmtm.pca_init import PretrainedEmbeddings
 from conftest import long_question_row
 
@@ -132,6 +132,62 @@ class TestTrain:
         assert rc == 2
         assert "batch_size must be >= 1" in capsys.readouterr().err
 
+    def test_corpus_directory_exit_2(self, tmp_path, capsys):
+        rc = cli.main(["train", "--corpus", str(tmp_path)]
+                      + fast_train_flags(tmp_path / "o"))
+        assert rc == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content,message", [
+        ({"d_model": "64"}, "'d_model' must be int, got '64'"),
+        ({"batch_size": True}, "'batch_size' must be int, got True"),
+        ({"finetune_lr": "1e-3"}, "'finetune_lr' must be float, got '1e-3'"),
+        (["d_model"], "must hold a JSON object"),
+    ])
+    def test_config_value_of_wrong_type_exit_2(self, corpus_path, tmp_path, capsys,
+                                               content, message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))
+        rc = cli.main(["train", "--corpus", str(corpus_path), "--config", str(cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_embeddings_header_not_a_width_exit_2(self, corpus_path, tmp_path,
+                                                  capsys):
+        emb = tmp_path / "emb.tsv"
+        emb.write_text("D=x\nhad\t1.0\n", encoding="utf-8")
+        rc = cli.main(["train", "--corpus", str(corpus_path), "--embeddings",
+                       str(emb)] + fast_train_flags(tmp_path / "o"))
+        assert rc == 2
+        assert "first line must be D=<positive width>" in capsys.readouterr().err
+
+    def test_embeddings_non_numeric_vocab_row_exit_2(self, corpus_path, tmp_path,
+                                                     capsys):
+        words = dataset.build_vocab(
+            dataset.load_corpus(corpus_path).records).src_itos
+        emb = tmp_path / "emb.tsv"
+        rng = np.random.default_rng(1)
+        rows = [[w] + [repr(float(v)) for v in rng.normal(size=16)] for w in words]
+        rows[-1][5] = "abc"
+        emb.write_text("D=16\n" + "".join("\t".join(r) + "\n" for r in rows),
+                       encoding="utf-8")
+        rc = cli.main(["train", "--corpus", str(corpus_path), "--embeddings",
+                       str(emb)] + fast_train_flags(tmp_path / "o"))
+        assert rc == 2
+        assert f"row for {words[-1]!r} has a non-numeric value" in \
+            capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--corpus", "--embeddings"])
+    def test_input_not_utf8_exit_2(self, corpus_path, tmp_path, capsys, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"D=2\n\xff\xfe\t1\t2\n")
+        inputs = {"--corpus": str(corpus_path), flag: str(bad)}
+        argv = ["train"] + [arg for item in inputs.items() for arg in item]
+        rc = cli.main(argv + fast_train_flags(tmp_path / "o"))
+        assert rc == 2
+        assert "can't decode byte 0xff" in capsys.readouterr().err
+
     def test_only_overlength_record_exit_2(self, tmp_path, capsys):
         corpus = tmp_path / "train.jsonl"
         synth.write_corpus(corpus, [long_question_row("long-q", 200)])
@@ -189,6 +245,19 @@ class TestEval:
         assert verdict["failure_reason"] == "input_too_long"
         assert sorted(p.stem for p in att.glob("*.json")) == \
             sorted(v["record_id"] for v in report["verdicts"][:-1])
+
+    def test_checkpoint_directory_exit_2(self, test_path, tmp_path, capsys):
+        rc = cli.main(["eval", "--checkpoint", str(tmp_path), "--test",
+                       str(test_path)])
+        assert rc == 2
+        assert "Is a directory" in capsys.readouterr().err
+
+    def test_test_directory_exit_2(self, trained_dir, tmp_path, capsys):
+        rc = cli.main(["eval", "--checkpoint",
+                       str(trained_dir / "checkpoint_final.mmtm"),
+                       "--test", str(tmp_path)])
+        assert rc == 2
+        assert "Is a directory" in capsys.readouterr().err
 
     def test_corrupt_checkpoint_exit_3(self, test_path, tmp_path):
         bad = tmp_path / "bad.mmtm"

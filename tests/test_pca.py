@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from mmtm import dataset, pca_init
-from mmtm.pca_init import BadDim, NoOverlap, PretrainedEmbeddings
+from mmtm.pca_init import BadDim, NoOverlap, PcaError, PretrainedEmbeddings
 
 
 def brute_force_pca(matrix, d):
@@ -12,6 +12,21 @@ def brute_force_pca(matrix, d):
     evals, evecs = np.linalg.eigh(cov)
     order = np.argsort(evals)[::-1]
     return evals[order][:d], evecs[:, order][:, :d]
+
+
+def reference_load(path):
+    """The eager loader: every value of every row converted with float()."""
+    vectors = {}
+    with open(path, encoding="utf-8") as fh:
+        width = int(fh.readline().strip()[2:])
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            assert len(parts) == width + 1
+            vectors[parts[0]] = np.array([float(v) for v in parts[1:]])
+    return width, vectors
 
 
 class TestPcaProject:
@@ -116,6 +131,13 @@ class TestInitVocabEmbeddings:
         r = np.linalg.norm(random_rows, axis=1).mean()
         assert abs(r - m) / m < 0.1
 
+    def test_wrong_width_vector_rejected_where_used(self):
+        vocab = dataset.Vocab(["cat", "dog"], ["+"])
+        pre = PretrainedEmbeddings({"cat": np.zeros(6), "dog": np.zeros(5),
+                                    "eel": np.zeros(6)}, 6)
+        with pytest.raises(BadDim, match="'dog'"):
+            pca_init.init_vocab_embeddings(vocab, pre, 2, seed=0)
+
     def test_d_exceeds_width(self):
         vocab = dataset.Vocab(["cat", "dog"], ["+"])
         with pytest.raises(BadDim):
@@ -132,3 +154,69 @@ class TestTsvRoundTrip:
         loaded = pca_init.load_embeddings_tsv(path)
         assert loaded.width == 2
         np.testing.assert_array_equal(loaded.vectors["dog"], pre.vectors["dog"])
+
+
+def _write(path, text, newline="\n"):
+    path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+    return path
+
+
+class TestLazyTsvLoad:
+    TABLE = ("D=3\n"
+             "cat\t1.0\t-2.5e-3\t0.1\n"
+             "\n"
+             "dog\t-0.0\t1e308\t  7 \n"
+             "cat\t0.30000000000000004\t1_000\t-inf\n"
+             "\n"
+             "eel\t2.2250738585072014e-308\t5e-324\t.5\n")
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_matches_eager_loader_bit_for_bit(self, tmp_path, newline):
+        path = _write(tmp_path / "emb.tsv", self.TABLE, newline)
+        width, want = reference_load(path)
+        loaded = pca_init.load_embeddings_tsv(path)
+        assert loaded.width == width == 3
+        assert list(loaded.vectors) == list(want) == ["cat", "dog", "eel"]
+        for token, vec in want.items():
+            assert token in loaded.vectors
+            got = loaded.vectors[token]
+            assert got.dtype == np.float64
+            assert got.tobytes() == vec.tobytes()
+
+    def test_pca_input_matches_eager_table(self, tmp_path):
+        rng = np.random.default_rng(4)
+        tokens = [f"w{i}" for i in range(30)]
+        text = "D=12\n" + "".join(
+            t + "\t" + "\t".join(f"{v:.6f}" for v in rng.normal(size=12)) + "\n"
+            for t in tokens)
+        path = _write(tmp_path / "emb.tsv", text)
+        vocab = dataset.Vocab(tokens[::2] + ["missing"], ["+"])
+        width, vectors = reference_load(path)
+        want = pca_init.init_vocab_embeddings(
+            vocab, PretrainedEmbeddings(vectors, width), 5, seed=3)
+        got = pca_init.init_vocab_embeddings(
+            vocab, pca_init.load_embeddings_tsv(path), 5, seed=3)
+        assert got.tobytes() == want.tobytes()
+
+    def test_wrong_width_row_rejected_at_load(self, tmp_path):
+        path = _write(tmp_path / "emb.tsv",
+                      "D=2\ncat\t1.0\t2.0\nzebra\t1.0\t2.0\t3.0\n")
+        with pytest.raises(PcaError, match="'zebra' has wrong width"):
+            pca_init.load_embeddings_tsv(path)
+
+    @pytest.mark.parametrize("head", ["D=x", "D=0", "D=-3", "D=", "768", ""])
+    def test_bad_header_rejected(self, tmp_path, head):
+        path = _write(tmp_path / "emb.tsv", head + "\ncat\t1.0\n")
+        with pytest.raises(PcaError, match="first line must be"):
+            pca_init.load_embeddings_tsv(path)
+
+    def test_unused_row_never_converted(self, tmp_path):
+        path = _write(tmp_path / "emb.tsv",
+                      "D=2\ncat\t1.0\t2.0\ndog\t-1.0\t0.5\nzebra\tabc\t1.0\n")
+        pre = pca_init.load_embeddings_tsv(path)
+        vocab = dataset.Vocab(["cat", "dog"], ["+"])
+        out = pca_init.init_vocab_embeddings(vocab, pre, 1, seed=0)
+        assert np.isfinite(out).all()
+        with pytest.raises(PcaError, match="'zebra' has a non-numeric value"):
+            pca_init.init_vocab_embeddings(
+                dataset.Vocab(["cat", "zebra"], ["+"]), pre, 1, seed=0)
