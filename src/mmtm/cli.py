@@ -43,6 +43,18 @@ def _default_seed(args) -> int:
     return int(os.environ.get("MMTM_SEED", "0"))
 
 
+def _positive_ints(text: str) -> list[int]:
+    """argparse type for a comma list of integers >= 1, such as 32,64,128."""
+    try:
+        values = [int(v) for v in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a comma list of integers, got {text!r}") from None
+    if min(values) < 1:
+        raise argparse.ArgumentTypeError(f"every value must be >= 1, got {text!r}")
+    return values
+
+
 def _load_corpus(path: str) -> dataset.CorpusLoad:
     p = Path(path)
     if not p.exists():
@@ -205,8 +217,7 @@ def cmd_sweep(args) -> int:
     embeddings = None
     if args.embeddings:
         embeddings = pca_init.load_embeddings_tsv(args.embeddings)
-    dims = [int(v) for v in args.dims.split(",")]
-    layer_counts = [int(v) for v in args.layer_list.split(",")]
+    dims, layer_counts = args.dims, args.layer_list
     inits = ["scratch"] + (["pca"] if embeddings is not None else [])
     out_dir = Path(args.out)
     _write_manifest(out_dir, "sweep", args,
@@ -307,8 +318,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="accuracy grid over (dim, layers, init)")
     p.add_argument("--corpus", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--dims", default="32,64,128", help="comma list of widths")
-    p.add_argument("--layers", dest="layer_list", default="1",
+    p.add_argument("--dims", type=_positive_ints, default="32,64,128",
+                   help="comma list of widths")
+    p.add_argument("--layers", dest="layer_list", type=_positive_ints, default="1",
                    help="comma list, e.g. 1,2")
     p.add_argument("--embeddings")
     p.add_argument("--out", required=True)

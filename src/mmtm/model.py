@@ -22,18 +22,24 @@ sorted-name order: dec.in.* | dec.post.* | dec.pre.* | enc.*, src_embed.
 task updates the shared encoder plus that task's decoder: one span of `flat`
 for pre-order, two for in-order or post-order (`ParamStore.spans`). Gradients
 use an arena of the same layout (`zero_grads`).
+
+Batches are packed: every position-wise op (embedding, LayerNorm, Q/K/V/O
+projections, FFN, dropout, output projection, loss, and their backward) runs
+on (N, d) rows, one per non-PAD position of the padded source and of the
+BOS-prefixed target input. Only the attention core (scores, softmax, context)
+runs on the padded (B, h, T, T) layout. PAD gets no embedding gradient.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .dataset import PAD, BOS, EOS, TaskExample
+from .dataset import PAD, BOS, EOS
 from .expr import TraversalVariant
 
 _LN_EPS = 1e-5
@@ -179,15 +185,6 @@ class ParamStore:
         return self.tensors[name]
 
 
-@dataclass
-class AttentionTrace:
-    """Per-layer attention matrices from one forward pass; each entry is an
-    array of shape (n_heads, n_queries, n_keys)."""
-    enc_self: list[np.ndarray] = field(default_factory=list)
-    dec_self: list[np.ndarray] = field(default_factory=list)
-    cross: list[np.ndarray] = field(default_factory=list)
-
-
 def param_count(config: ModelConfig, tasks: Sequence = tuple(TraversalVariant)) -> int:
     """Closed-form parameter count; must equal ParamStore.size()."""
     d, f = config.d_model, config.d_ffn
@@ -269,7 +266,7 @@ def positional_encoding(length: int, d_model: int, dtype) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# primitive forward/backward pairs (caches are plain dicts)
+# primitive forward/backward pairs on packed (N, d) rows (caches are dicts)
 # ---------------------------------------------------------------------------
 
 
@@ -283,9 +280,8 @@ def _ln_fwd(x, g, b):
 
 def _ln_bwd(dout, cache, grads, name):
     xhat, inv, g = cache["xhat"], cache["inv"], cache["g"]
-    axes = tuple(range(dout.ndim - 1))
-    grads[f"{name}.g"] += (dout * xhat).sum(axis=axes)
-    grads[f"{name}.b"] += dout.sum(axis=axes)
+    grads[f"{name}.g"] += (dout * xhat).sum(0)
+    grads[f"{name}.b"] += dout.sum(0)
     dxhat = dout * g
     m1 = dxhat.mean(-1, keepdims=True)
     m2 = (dxhat * xhat).mean(-1, keepdims=True)
@@ -303,19 +299,37 @@ def _dropout_bwd(dout, keep):
     return dout if keep is None else dout * keep
 
 
-def _split_heads(x, h):
-    b, t, d = x.shape
-    return x.reshape(b, t, h, d // h).transpose(0, 2, 1, 3)
+def _pack(mask):
+    """The packed layout of a (B, T) mask: the flat indices of its True
+    positions and its shape. A packed array has one row per index, in order."""
+    return np.flatnonzero(mask), mask.shape
+
+
+def _embed(table, ids, pack):
+    """Packed embedding rows plus sinusoidal position rows, and the packed ids."""
+    rows, (_, t_len) = pack
+    packed = ids.ravel()[rows]
+    pe = positional_encoding(t_len, table.shape[1], table.dtype)
+    return table[packed] + pe[rows % t_len], packed
+
+
+def _to_heads(x, pack, h):
+    """Packed rows (N, d) -> split heads (B, h, T, d/h), zero at PAD positions."""
+    rows, (b, t_len) = pack
+    full = np.zeros((b * t_len, x.shape[1]), dtype=x.dtype)
+    full[rows] = x
+    return full.reshape(b, t_len, h, -1).transpose(0, 2, 1, 3)
 
 
 def _merge_heads(x):
+    """Split heads (B, h, T, dk) -> rows (B*T, h*dk)."""
     b, h, t, dk = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b, t, h * dk)
+    return x.transpose(0, 2, 1, 3).reshape(b * t, h * dk)
 
 
 def _attend(q, k, v, add_mask):
     """Scaled dot-product softmax attention over split heads (B, h, T, dk);
-    returns the merged context (B, Tq, d) and the weights (B, h, Tq, Tk)."""
+    returns the merged context (B*Tq, d) and the weights (B, h, Tq, Tk)."""
     attn = np.matmul(q, k.transpose(0, 1, 3, 2))  # scores, softmaxed in place
     attn *= 1.0 / math.sqrt(q.shape[-1])
     if add_mask is not None:
@@ -326,27 +340,26 @@ def _attend(q, k, v, add_mask):
     return _merge_heads(np.matmul(attn, v)), attn
 
 
-def _mha_fwd(params, name, x_q, x_kv, n_heads, add_mask, drop_p, rng, trace_list):
-    t = params.tensors
-    q = _split_heads(x_q @ t[f"{name}.wq"], n_heads)
-    k = _split_heads(x_kv @ t[f"{name}.wk"], n_heads)
-    v = _split_heads(x_kv @ t[f"{name}.wv"], n_heads)
+def _mha_fwd(params, name, x_q, x_kv, packs, add_mask, rng):
+    """Projections on packed rows; only the attention core runs padded."""
+    t, cfg = params.tensors, params.config
+    q = _to_heads(x_q @ t[f"{name}.wq"], packs[0], cfg.n_heads)
+    k = _to_heads(x_kv @ t[f"{name}.wk"], packs[1], cfg.n_heads)
+    v = _to_heads(x_kv @ t[f"{name}.wv"], packs[1], cfg.n_heads)
     ctx, attn = _attend(q, k, v, add_mask)
-    if trace_list is not None:
-        trace_list.append(attn[0].copy())
-    out = ctx @ t[f"{name}.wo"]
-    out, keep = _dropout_fwd(out, drop_p, rng)
+    ctx = ctx[packs[0][0]]
+    out, keep = _dropout_fwd(ctx @ t[f"{name}.wo"], cfg.dropout, rng)
     cache = {"name": name, "x_q": x_q, "x_kv": x_kv, "q": q, "k": k, "v": v,
-             "attn": attn, "ctx": ctx, "keep": keep, "h": n_heads}
+             "attn": attn, "ctx": ctx, "keep": keep, "packs": packs}
     return out, cache
 
 
 def _mha_bwd(dout, cache, params, grads):
     t = params.tensors
-    name, h = cache["name"], cache["h"]
+    name, (pack_q, pack_kv) = cache["name"], cache["packs"]
     dout = _dropout_bwd(dout, cache["keep"])
-    grads[f"{name}.wo"] += np.tensordot(cache["ctx"], dout, axes=([0, 1], [0, 1]))
-    dctx = _split_heads(dout @ t[f"{name}.wo"].T, h)
+    grads[f"{name}.wo"] += cache["ctx"].T @ dout
+    dctx = _to_heads(dout @ t[f"{name}.wo"].T, pack_q, params.config.n_heads)
     attn, q, k, v = cache["attn"], cache["q"], cache["k"], cache["v"]
     dscores = np.matmul(dctx, v.transpose(0, 1, 3, 2))  # d attn, to d scores in place
     dv = np.matmul(attn.transpose(0, 1, 3, 2), dctx)
@@ -355,21 +368,22 @@ def _mha_bwd(dout, cache, params, grads):
     dscores *= 1.0 / math.sqrt(q.shape[-1])
     dq = np.matmul(dscores, k)
     dk = np.matmul(dscores.transpose(0, 1, 3, 2), q)
-    dqm, dkm, dvm = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-    grads[f"{name}.wq"] += np.tensordot(cache["x_q"], dqm, axes=([0, 1], [0, 1]))
-    grads[f"{name}.wk"] += np.tensordot(cache["x_kv"], dkm, axes=([0, 1], [0, 1]))
-    grads[f"{name}.wv"] += np.tensordot(cache["x_kv"], dvm, axes=([0, 1], [0, 1]))
+    dqm = _merge_heads(dq)[pack_q[0]]
+    dkm, dvm = _merge_heads(dk)[pack_kv[0]], _merge_heads(dv)[pack_kv[0]]
+    grads[f"{name}.wq"] += cache["x_q"].T @ dqm
+    grads[f"{name}.wk"] += cache["x_kv"].T @ dkm
+    grads[f"{name}.wv"] += cache["x_kv"].T @ dvm
     dx_q = dqm @ t[f"{name}.wq"].T
     dx_kv = dkm @ t[f"{name}.wk"].T + dvm @ t[f"{name}.wv"].T
     return dx_q, dx_kv
 
 
-def _ffn_fwd(params, name, x, drop_p, rng):
+def _ffn_fwd(params, name, x, rng):
     t = params.tensors
     pre = x @ t[f"{name}.w1"] + t[f"{name}.b1"]
     hid = np.maximum(pre, 0.0)
     out = hid @ t[f"{name}.w2"] + t[f"{name}.b2"]
-    out, keep = _dropout_fwd(out, drop_p, rng)
+    out, keep = _dropout_fwd(out, params.config.dropout, rng)
     return out, {"name": name, "x": x, "pre": pre, "hid": hid, "keep": keep}
 
 
@@ -377,32 +391,32 @@ def _ffn_bwd(dout, cache, params, grads):
     t = params.tensors
     name = cache["name"]
     dout = _dropout_bwd(dout, cache["keep"])
-    grads[f"{name}.w2"] += np.tensordot(cache["hid"], dout, axes=([0, 1], [0, 1]))
-    grads[f"{name}.b2"] += dout.sum(axis=(0, 1))
+    grads[f"{name}.w2"] += cache["hid"].T @ dout
+    grads[f"{name}.b2"] += dout.sum(0)
     dhid = (dout @ t[f"{name}.w2"].T) * (cache["pre"] > 0)
-    grads[f"{name}.w1"] += np.tensordot(cache["x"], dhid, axes=([0, 1], [0, 1]))
-    grads[f"{name}.b1"] += dhid.sum(axis=(0, 1))
+    grads[f"{name}.w1"] += cache["x"].T @ dhid
+    grads[f"{name}.b1"] += dhid.sum(0)
     return dhid @ t[f"{name}.w1"].T
 
 
-def _sublayer_fwd(params, kind, name, ln, x, caches, rng, mask=None, kv=None,
-                  trace=None):
-    """Pre-LN residual x + sublayer(LN(x)). `kind` is attn (self-attention),
-    cross (attention over `kv`) or ffn; `caches` collects the tape."""
-    cfg = params.config
+def _sublayer_fwd(params, kind, name, ln, x, caches, rng, packs=None, mask=None,
+                  kv=None):
+    """Pre-LN residual x + sublayer(LN(x)) on packed rows. `kind` is attn
+    (self-attention), cross (attention over `kv`) or ffn; `packs` are the
+    query and key layouts; `caches` collects the tape."""
     normed, ln_cache = _ln_fwd(x, params[f"{ln}.g"], params[f"{ln}.b"])
     if kind == "ffn":
-        out, sub_cache = _ffn_fwd(params, name, normed, cfg.dropout, rng)
+        out, sub_cache = _ffn_fwd(params, name, normed, rng)
     else:
         out, sub_cache = _mha_fwd(params, name, normed, normed if kv is None else kv,
-                                  cfg.n_heads, mask, cfg.dropout, rng, trace)
+                                  packs, mask, rng)
     if caches is not None:
         caches.append((kind, ln, ln_cache, sub_cache))
     return x + out
 
 
 # ---------------------------------------------------------------------------
-# encoder / decoder forward with tape, and the mirrored backward
+# encoder / decoder forward with tape, the loss, and the mirrored backward
 # ---------------------------------------------------------------------------
 
 
@@ -426,61 +440,56 @@ def _decoder_key(params: ParamStore, task) -> str:
     return task.value
 
 
-def encode_batch(params: ParamStore, src_ids, rng=None, trace: AttentionTrace | None = None,
-                 keep_caches: bool = True):
-    """Forward the shared encoder over a padded batch; returns states and tape.
-    Without `keep_caches` the tape holds no sublayer caches, so encode_bwd
-    cannot run on it, but the activations are freed as the pass goes."""
+def encode_batch(params: ParamStore, src_ids, rng=None, keep_caches: bool = True):
+    """Forward the shared encoder over a padded (B, S) batch of source ids.
+    Returns the packed states, one row per non-PAD position (row-major), and
+    the tape. Without `keep_caches` the tape holds no sublayer caches, so
+    encode_bwd cannot run on it, but the activations are freed as it goes."""
     cfg = params.config
     src_ids = _check_ids(src_ids, cfg.src_vocab_size, cfg.max_src_len, "source")
     mask = src_ids != PAD
     if not mask.any(axis=1).all():
         raise EmptyInput("all-PAD source row")
-    dt = cfg.np_dtype
-    x = params["src_embed"][src_ids] + positional_encoding(
-        src_ids.shape[1], cfg.d_model, dt
-    )[None]
-    add_mask = np.where(mask, 0.0, _NEG).astype(dt)[:, None, None, :]
+    pack = _pack(mask)
+    x, ids = _embed(params["src_embed"], src_ids, pack)
+    add_mask = np.where(mask, 0.0, _NEG).astype(cfg.np_dtype)[:, None, None, :]
     caches = [] if keep_caches else None
-    tl = trace.enc_self if trace is not None else None
     for i in range(cfg.n_enc_layers):
         x = _sublayer_fwd(params, "attn", f"enc.{i}.attn", f"enc.{i}.ln1", x, caches,
-                          rng, add_mask, trace=tl)
+                          rng, (pack, pack), add_mask)
         x = _sublayer_fwd(params, "ffn", f"enc.{i}.ffn", f"enc.{i}.ln2", x, caches, rng)
     states, lnf_cache = _ln_fwd(x, params["enc.ln_f.g"], params["enc.ln_f.b"])
-    tape = {"src_ids": src_ids, "mask": mask, "caches": caches, "lnf": lnf_cache}
+    tape = {"ids": ids, "mask": mask, "pack": pack, "caches": caches, "lnf": lnf_cache}
     return states, tape
 
 
-def decode_batch(params: ParamStore, task, states, src_mask, tgt_ids, rng=None,
-                 trace: AttentionTrace | None = None):
-    """Forward one task decoder over a padded target prefix batch."""
+def decode_batch(params: ParamStore, task, states, src_mask, tgt_ids, rng=None):
+    """Forward one task decoder over a padded (B, T) batch of target prefixes
+    against packed encoder states, one row per True in `src_mask`. Returns
+    packed logits, one row per non-PAD target position, and the tape."""
     cfg = params.config
     key = _decoder_key(params, task)
     tgt_ids = _check_ids(tgt_ids, cfg.tgt_vocab_size, cfg.max_tgt_len, "target")
-    dt = cfg.np_dtype
-    t_len = tgt_ids.shape[1]
-    x = params[f"dec.{key}.tgt_embed"][tgt_ids] + positional_encoding(
-        t_len, cfg.d_model, dt
-    )[None]
-    causal = np.where(np.tril(np.ones((t_len, t_len), dtype=bool)), 0.0, _NEG)
-    causal = causal.astype(dt)[None, None]
+    pack, src_pack = _pack(tgt_ids != PAD), _pack(np.asarray(src_mask))
+    if len(states) != len(src_pack[0]):
+        raise ShapeMismatch(f"{len(states)} state rows for {len(src_pack[0])} sources")
+    x, ids = _embed(params[f"dec.{key}.tgt_embed"], tgt_ids, pack)
+    dt, t_len = cfg.np_dtype, tgt_ids.shape[1]
+    causal = np.triu(np.full((t_len, t_len), _NEG, dtype=dt), 1)[None, None]
     cross_mask = np.where(src_mask, 0.0, _NEG).astype(dt)[:, None, None, :]
     caches = []
-    tl_self = trace.dec_self if trace is not None else None
-    tl_cross = trace.cross if trace is not None else None
     for i in range(cfg.n_dec_layers):
         name = f"dec.{key}.{i}"
         x = _sublayer_fwd(params, "attn", f"{name}.self_attn", f"{name}.ln1", x, caches,
-                          rng, causal, trace=tl_self)
+                          rng, (pack, pack), causal)
         x = _sublayer_fwd(params, "cross", f"{name}.cross_attn", f"{name}.ln2", x,
-                          caches, rng, cross_mask, states, tl_cross)
+                          caches, rng, (pack, src_pack), cross_mask, states)
         x = _sublayer_fwd(params, "ffn", f"{name}.ffn", f"{name}.ln3", x, caches, rng)
     normed, lnf_cache = _ln_fwd(x, params[f"dec.{key}.ln_f.g"],
                                 params[f"dec.{key}.ln_f.b"])
     logits = normed @ params[f"dec.{key}.out.w"] + params[f"dec.{key}.out.b"]
-    tape = {"task": key, "tgt_ids": tgt_ids, "caches": caches, "lnf": lnf_cache,
-            "normed": normed, "states": states}
+    tape = {"task": key, "ids": ids, "caches": caches, "lnf": lnf_cache,
+            "normed": normed}
     return logits, tape
 
 
@@ -506,28 +515,21 @@ def _tape_bwd(dx, caches, params, grads):
 
 
 def decode_bwd(dlogits, dec_tape, params, grads):
-    """Backprop the decoder; returns gradient w.r.t. encoder states."""
+    """Backprop the decoder; returns the gradient w.r.t. the packed states."""
     key = dec_tape["task"]
-    grads[f"dec.{key}.out.w"] += np.tensordot(
-        dec_tape["normed"], dlogits, axes=([0, 1], [0, 1])
-    )
-    grads[f"dec.{key}.out.b"] += dlogits.sum(axis=(0, 1))
+    grads[f"dec.{key}.out.w"] += dec_tape["normed"].T @ dlogits
+    grads[f"dec.{key}.out.b"] += dlogits.sum(0)
     dx = dlogits @ params[f"dec.{key}.out.w"].T
     dx = _ln_bwd(dx, dec_tape["lnf"], grads, f"dec.{key}.ln_f")
     dx, dstates = _tape_bwd(dx, dec_tape["caches"], params, grads)
-    np.add.at(grads[f"dec.{key}.tgt_embed"], dec_tape["tgt_ids"], dx)
+    np.add.at(grads[f"dec.{key}.tgt_embed"], dec_tape["ids"], dx)
     return dstates
 
 
 def encode_bwd(dstates, enc_tape, params, grads):
     dx = _ln_bwd(dstates, enc_tape["lnf"], grads, "enc.ln_f")
     dx, _ = _tape_bwd(dx, enc_tape["caches"], params, grads)
-    np.add.at(grads["src_embed"], enc_tape["src_ids"], dx)
-
-
-# ---------------------------------------------------------------------------
-# loss
-# ---------------------------------------------------------------------------
+    np.add.at(grads["src_embed"], enc_tape["ids"], dx)
 
 
 def _log_softmax(logits):
@@ -536,25 +538,25 @@ def _log_softmax(logits):
 
 
 def loss_batch(logits, gold_full):
-    """Token-averaged cross entropy; logit row t scores gold token t+1.
-
-    logits: (B, T, V) over the BOS-prefixed target prefix gold_full[:, :-1];
-    gold_full: (B, T+1) ids, PAD-padded. Returns (loss, dlogits).
-    """
-    gold = np.asarray(gold_full)[:, 1:]
-    if logits.shape[:2] != gold.shape:
-        raise ShapeMismatch(f"logits {logits.shape} vs gold {gold.shape}")
+    """Token-averaged cross entropy. gold_full: (B, T+1) ids, PAD-padded;
+    logits: (N, V), one row per non-PAD position of the BOS-prefixed input
+    gold_full[:, :-1] as decode_batch packs it, the row of input position t
+    scoring gold token t+1. Returns (loss, dlogits)."""
+    gold_full = np.asarray(gold_full)
+    gold = gold_full[:, 1:][gold_full[:, :-1] != PAD]
     counted = gold != PAD
     n = int(counted.sum())
     if n == 0:
         raise EmptyTarget("no non-PAD gold tokens")
+    if logits.shape[0] != gold.shape[0]:
+        raise ShapeMismatch(f"logits {logits.shape} vs {gold.shape[0]} input positions")
     logp = _log_softmax(logits)
-    b_idx, t_idx = np.nonzero(counted)
-    value = -logp[b_idx, t_idx, gold[b_idx, t_idx]].sum() / n
+    rows = np.flatnonzero(counted)
+    value = -logp[rows, gold[rows]].sum() / n
     dlogits = np.exp(logp)
-    onehot_rows = np.zeros_like(dlogits)
-    onehot_rows[b_idx, t_idx, gold[b_idx, t_idx]] = 1.0
-    dlogits = (dlogits - onehot_rows) * counted[:, :, None] / n
+    dlogits[rows, gold[rows]] -= 1.0
+    dlogits *= counted[:, None]
+    dlogits /= n
     return float(value), dlogits
 
 
@@ -571,24 +573,18 @@ def loss_and_grads_batch(params: ParamStore, task, src_ids, tgt_full, rng=None,
     return value, grads
 
 
-def backward(params: ParamStore, example: TaskExample):
-    """Loss and full gradient store for one training example (dropout off)."""
-    src = np.asarray(example.source_ids)[None]
-    tgt = np.asarray(example.target_ids)[None]
-    return loss_and_grads_batch(params, example.task, src, tgt)
-
-
 def greedy_decode(params: ParamStore, task, sources: Sequence[Sequence[int]],
                   max_len: int, cross_trace: list | None = None) -> list[list[int]]:
     """Greedy argmax decode of every source; returns one id list per source.
 
-    Ties break to the lowest id and EOS is not returned. A row stops when it
-    emits EOS, after max_len tokens, or when BOS plus its tokens fill
-    max_tgt_len. Sources are sorted by length and decoded DECODE_CHUNK at a
-    time, so chunks carry little padding: each chunk is encoded once,
-    cross-attention keys and values are computed once per layer, and each
-    step runs the decoder for one new position against cached self-attention
-    keys and values (incremental decoding).
+    Ties break to the lowest id, PAD (which the decoder drops from its input)
+    is never emitted and EOS is not returned. A row stops when it emits EOS,
+    after max_len tokens, or when BOS plus its tokens fill max_tgt_len.
+    Sources are sorted by length and decoded DECODE_CHUNK at a time, so
+    chunks carry little padding: each chunk is encoded once, cross-attention
+    keys and values are computed once per layer, and each step runs the
+    decoder for one new position against cached self-attention keys and
+    values (incremental decoding).
 
     With `cross_trace`, appends per source an array (layers, heads, steps,
     source length) of cross-attention weights, one step for BOS and each
@@ -610,40 +606,44 @@ def greedy_decode(params: ParamStore, task, sources: Sequence[Sequence[int]],
 
 
 def _greedy_chunk(params, key, sources, limit, with_trace):
-    """(ids, cross-attention or None) per source of one chunk."""
+    """(ids, cross-attention or None) per source of one chunk. Each step runs
+    the layer functions on one (b, d) row per source."""
     cfg, t = params.config, params.tensors
     dt, h, b = cfg.np_dtype, cfg.n_heads, len(sources)
+    dk = cfg.d_model // h
     lengths = [len(s) for s in sources]
     src = np.full((b, max(lengths)), PAD, dtype=np.int64)
     for row, ids in enumerate(sources):
         src[row, :len(ids)] = ids
     states, enc_tape = encode_batch(params, src, keep_caches=False)
     cross_mask = np.where(enc_tape["mask"], 0.0, _NEG).astype(dt)[:, None, None, :]
-    cross_kv = [(_split_heads(states @ t[f"dec.{key}.{i}.cross_attn.wk"], h),
-                 _split_heads(states @ t[f"dec.{key}.{i}.cross_attn.wv"], h))
-                for i in range(cfg.n_dec_layers)]
+    cross_kv = [[_to_heads(states @ t[f"dec.{key}.{i}.cross_attn.{w}"],
+                           enc_tape["pack"], h)
+                 for w in ("wk", "wv")] for i in range(cfg.n_dec_layers)]
     n_pos = limit + with_trace
-    cache_shape = (cfg.n_dec_layers, b, h, n_pos, cfg.d_model // h)
+    cache_shape = (cfg.n_dec_layers, b, h, n_pos, dk)
     self_k, self_v = np.empty(cache_shape, dtype=dt), np.empty(cache_shape, dtype=dt)
     pe = positional_encoding(n_pos, cfg.d_model, dt)
+    out_b = t[f"dec.{key}.out.b"].copy()
+    out_b[PAD] = -np.inf
     cross = [[] for _ in range(cfg.n_dec_layers)]
     out: list[list[int]] = [[] for _ in range(b)]
     tokens = np.full(b, BOS)
     running = np.ones(b, dtype=bool)
     for pos in range(n_pos):
-        x = (t[f"dec.{key}.tgt_embed"][tokens] + pe[pos])[:, None]
+        x = t[f"dec.{key}.tgt_embed"][tokens] + pe[pos]
         for i in range(cfg.n_dec_layers):
             name = f"dec.{key}.{i}"
             normed, _ = _ln_fwd(x, t[f"{name}.ln1.g"], t[f"{name}.ln1.b"])
             attn = f"{name}.self_attn"
-            self_k[i, :, :, pos] = _split_heads(normed @ t[f"{attn}.wk"], h)[:, :, 0]
-            self_v[i, :, :, pos] = _split_heads(normed @ t[f"{attn}.wv"], h)[:, :, 0]
-            ctx, _ = _attend(_split_heads(normed @ t[f"{attn}.wq"], h),
+            self_k[i, :, :, pos] = (normed @ t[f"{attn}.wk"]).reshape(b, h, dk)
+            self_v[i, :, :, pos] = (normed @ t[f"{attn}.wv"]).reshape(b, h, dk)
+            ctx, _ = _attend((normed @ t[f"{attn}.wq"]).reshape(b, h, 1, dk),
                              self_k[i, :, :, :pos + 1], self_v[i, :, :, :pos + 1], None)
             x = x + ctx @ t[f"{attn}.wo"]
             normed, _ = _ln_fwd(x, t[f"{name}.ln2.g"], t[f"{name}.ln2.b"])
             attn = f"{name}.cross_attn"
-            ctx, weights = _attend(_split_heads(normed @ t[f"{attn}.wq"], h),
+            ctx, weights = _attend((normed @ t[f"{attn}.wq"]).reshape(b, h, 1, dk),
                                    *cross_kv[i], cross_mask)
             if with_trace:
                 cross[i].append(weights[:, :, 0])
@@ -651,8 +651,8 @@ def _greedy_chunk(params, key, sources, limit, with_trace):
             x = _sublayer_fwd(params, "ffn", f"{name}.ffn", f"{name}.ln3", x, None, None)
         if pos == limit:
             break
-        normed, _ = _ln_fwd(x[:, 0], t[f"dec.{key}.ln_f.g"], t[f"dec.{key}.ln_f.b"])
-        tokens = (normed @ t[f"dec.{key}.out.w"] + t[f"dec.{key}.out.b"]).argmax(-1)
+        normed, _ = _ln_fwd(x, t[f"dec.{key}.ln_f.g"], t[f"dec.{key}.ln_f.b"])
+        tokens = (normed @ t[f"dec.{key}.out.w"] + out_b).argmax(-1)
         running &= tokens != EOS
         if not running.any():
             break

@@ -68,6 +68,11 @@ class TrainLog:
         return "\n".join(lines) + "\n"
 
 
+# Elements per pass of Adam's in-place update: the chunk's slices of the
+# gradients, moments, parameters and scratch stay in cache between the ops.
+ADAM_CHUNK = 1 << 16
+
+
 class Adam:
     """Adam with global-norm gradient clipping over spans of the parameter
     arena; the moments are arena-sized."""
@@ -95,9 +100,10 @@ class Adam:
         bc2 = 1.0 - plan.beta2 ** self.t
         # Per element, in this order: m = b1*m + (1-b1)*g;
         # v = b2*v + (1-b2)*g*g; p -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
-        for start, stop in spans:
-            g, m, v = grads.flat[start:stop], self.m[start:stop], self.v[start:stop]
-            t = tmp[:stop - start]
+        for lo, hi in ((lo, min(lo + ADAM_CHUNK, stop)) for start, stop in spans
+                       for lo in range(start, stop, ADAM_CHUNK)):
+            g, m, v = grads.flat[lo:hi], self.m[lo:hi], self.v[lo:hi]
+            t = tmp[:hi - lo]
             g *= scale
             m *= plan.beta1
             m += np.multiply(g, 1 - plan.beta1, out=t)
@@ -106,7 +112,7 @@ class Adam:
             np.sqrt(np.divide(v, bc2, out=g), out=g)
             g += plan.eps
             np.multiply(np.divide(m, bc1, out=t), lr, out=t)
-            params.flat[start:stop] -= np.divide(t, g, out=t)
+            params.flat[lo:hi] -= np.divide(t, g, out=t)
             g.fill(0.0)
 
 

@@ -145,7 +145,9 @@ def test_c03_gradient_check_against_finite_differences():
     ]
     analytic = model.zero_grads(params)
     for e in examples:
-        _, g = model.backward(params, e)
+        _, g = model.loss_and_grads_batch(params, e.task,
+                                          np.asarray(e.source_ids)[None],
+                                          np.asarray(e.target_ids)[None])
         for name in analytic:
             analytic[name] += g[name]
     eps = 1e-5
@@ -176,19 +178,21 @@ def test_c04_causality_and_attention_stochasticity():
     cfg = model.ModelConfig(src_vocab_size=12, tgt_vocab_size=12, d_model=16,
                             n_heads=4, dropout=0.0, seed=404)
     params = model.init_params(cfg)
-    enc_trace, trace = model.AttentionTrace(), model.AttentionTrace()
-    states, tape = model.encode_batch(params, np.asarray([4, 5, 6, 7])[None],
-                                      trace=enc_trace)
-    a, _ = model.decode_batch(params, "pre", states, tape["mask"],
-                              np.asarray([BOS, 4, 5, 6])[None], trace=trace)
+    states, tape = model.encode_batch(params, np.asarray([4, 5, 6, 7])[None])
+    a, dec_tape = model.decode_batch(params, "pre", states, tape["mask"],
+                                     np.asarray([BOS, 4, 5, 6])[None])
     b, _ = model.decode_batch(params, "pre", states, tape["mask"],
                               np.asarray([BOS, 4, 5, 7])[None])
-    a, b = a[0], b[0]
     np.testing.assert_array_equal(a[:2], b[:2])  # bit-identical earlier rows
-    for mats in (enc_trace.enc_self, trace.dec_self, trace.cross):
+
+    def weights(tape, kind):  # first row's attention, per layer, from the tape
+        return [sub["attn"][0] for k, _, _, sub in tape["caches"] if k == kind]
+
+    for mats in (weights(tape, "attn"), weights(dec_tape, "attn"),
+                 weights(dec_tape, "cross")):
         for mat in mats:
             np.testing.assert_allclose(mat.sum(axis=-1), 1.0, atol=1e-6)
-    for mat in trace.dec_self:
+    for mat in weights(dec_tape, "attn"):
         future = np.triu(np.ones(mat.shape[-2:], dtype=bool), k=1)
         assert np.abs(mat[:, future]).max() == 0.0
 

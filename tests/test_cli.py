@@ -278,6 +278,18 @@ class TestEval:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("flag", ["--dims", "--layers"])
+    @pytest.mark.parametrize("value", ["16,x", "", "1,,2", "0", "8,-1"])
+    def test_bad_list_exit_2(self, corpus_path, test_path, tmp_path, capsys, flag,
+                             value):
+        args = ["sweep", "--corpus", str(corpus_path), "--test", str(test_path),
+                "--out", str(tmp_path / "sweep"), flag, value]
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args)
+        assert exc.value.code == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not (tmp_path / "sweep").exists()
+
     def test_grid_and_resume(self, corpus_path, test_path, tmp_path):
         emb_path = tmp_path / "emb.tsv"
         rng = np.random.default_rng(0)

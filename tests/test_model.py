@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mmtm import dataset, evaluate, model
+from mmtm import dataset, evaluate, model, train
 from mmtm.dataset import BOS, EOS, PAD, TaskExample
 from mmtm.expr import TraversalVariant
 
@@ -69,7 +69,7 @@ class TestEncode:
     def test_single_token_shape(self):
         params = model.init_params(tiny_config())
         states, _ = model.encode_batch(params, np.asarray([5])[None])
-        assert states[0].shape == (1, 8)
+        assert states.shape == (1, 8)
 
     def test_all_pad_rejected(self):
         params = model.init_params(tiny_config())
@@ -90,7 +90,7 @@ class TestEncode:
         params = model.init_params(tiny_config())
         a, _ = model.encode_batch(params, np.asarray([4, 5, 6])[None])
         b, _ = model.encode_batch(params, np.asarray([4, 6, 5])[None])
-        assert np.abs(a[0] - b[0]).max() > 1e-9
+        assert np.abs(a - b).max() > 1e-9
 
 
     def test_without_caches_same_states(self):
@@ -109,13 +109,13 @@ class TestDecodeStep:
         states, tape = model.encode_batch(params, np.asarray([4, 5])[None])
         logits, _ = model.decode_batch(params, "pre", states, tape["mask"],
                                        np.asarray([BOS])[None])
-        assert logits[0].shape == (1, 12)
+        assert logits.shape == (1, 12)
 
     def test_tasks_give_different_logits(self):
         params = model.init_params(tiny_config())
         states, tape = model.encode_batch(params, np.asarray([4, 5])[None])
         out = {t: model.decode_batch(params, t, states, tape["mask"],
-                                     np.asarray([BOS, 4])[None])[0][0]
+                                     np.asarray([BOS, 4])[None])[0]
                for t in ("pre", "in", "post")}
         assert np.abs(out["pre"] - out["in"]).max() > 1e-9
         assert np.abs(out["in"] - out["post"]).max() > 1e-9
@@ -134,38 +134,41 @@ class TestDecodeStep:
                                   np.asarray([BOS, 4, 5, 6])[None])
         b, _ = model.decode_batch(params, "pre", states, tape["mask"],
                                   np.asarray([BOS, 4, 7, 6])[None])
-        a, b = a[0], b[0]
         # rows before the perturbed position are bit-identical
         np.testing.assert_array_equal(a[:2], b[:2])
         assert np.abs(a[2:] - b[2:]).max() > 0
 
 
+def attention(tape, kind):
+    """The first row's (n_heads, n_queries, n_keys) attention weights of every
+    `kind` sublayer (attn or cross) on a forward tape, in layer order."""
+    return [sub["attn"][0] for k, _, _, sub in tape["caches"] if k == kind]
+
+
 class TestAttention:
     def test_rows_sum_to_one(self):
         params = model.init_params(tiny_config())
-        enc_trace, dec_trace = model.AttentionTrace(), model.AttentionTrace()
-        states, tape = model.encode_batch(params, np.asarray([4, 5, 6, 7])[None],
-                                          trace=enc_trace)
-        model.decode_batch(params, "pre", states, tape["mask"],
-                           np.asarray([BOS, 4, 5])[None], trace=dec_trace)
-        for mats in (enc_trace.enc_self, dec_trace.dec_self, dec_trace.cross):
+        states, tape = model.encode_batch(params, np.asarray([4, 5, 6, 7])[None])
+        _, dec_tape = model.decode_batch(params, "pre", states, tape["mask"],
+                                         np.asarray([BOS, 4, 5])[None])
+        for mats in (attention(tape, "attn"), attention(dec_tape, "attn"),
+                     attention(dec_tape, "cross")):
             for mat in mats:
                 np.testing.assert_allclose(mat.sum(axis=-1), 1.0, atol=1e-6)
                 assert mat.min() >= 0 and mat.max() <= 1
 
     def test_causal_mask_zeroes_future(self):
         params = model.init_params(tiny_config())
-        trace = model.AttentionTrace()
         states, tape = model.encode_batch(params, np.asarray([4, 5])[None])
-        model.decode_batch(params, "pre", states, tape["mask"],
-                           np.asarray([BOS, 4, 5])[None], trace=trace)
-        for mat in trace.dec_self:
+        _, dec_tape = model.decode_batch(params, "pre", states, tape["mask"],
+                                         np.asarray([BOS, 4, 5])[None])
+        for mat in attention(dec_tape, "attn"):
             future = np.triu(np.ones(mat.shape[-2:], dtype=bool), k=1)
             assert np.abs(mat[:, future]).max() == 0.0
 
 
 def loss(logits, gold):
-    return model.loss_batch(logits[None], np.asarray(gold)[None])[0]
+    return model.loss_batch(logits, np.asarray(gold)[None])[0]
 
 
 class TestLoss:
@@ -194,26 +197,33 @@ class TestLoss:
             loss(np.zeros((2, 12)), [BOS, PAD, PAD])
 
 
+def backward(params, example):
+    """Loss and gradient arena for one example, as a one-row batch."""
+    return model.loss_and_grads_batch(params, example.task,
+                                      np.asarray(example.source_ids)[None],
+                                      np.asarray(example.target_ids)[None])
+
+
 class TestBackward:
     def _example(self, task=TraversalVariant.PRE_ORDER):
         return TaskExample((4, 5, 6), (BOS, 4, 5, EOS), task, "x")
 
     def test_unused_decoder_grads_exactly_zero(self):
         params = model.init_params(tiny_config())
-        _, grads = model.backward(params, self._example())
+        _, grads = backward(params, self._example())
         for name in params.names("dec.in.") + params.names("dec.post."):
             assert np.abs(grads[name]).max() == 0.0
 
     def test_encoder_grads_nonzero(self):
         params = model.init_params(tiny_config())
-        _, grads = model.backward(params, self._example())
+        _, grads = backward(params, self._example())
         assert any(np.abs(grads[n]).max() > 0 for n in params.names("enc."))
         assert np.abs(grads["src_embed"]).max() > 0
 
     def test_deterministic_without_dropout(self):
         params = model.init_params(tiny_config())
-        l1, g1 = model.backward(params, self._example())
-        l2, g2 = model.backward(params, self._example())
+        l1, g1 = backward(params, self._example())
+        l2, g2 = backward(params, self._example())
         assert l1 == l2
         for name in g1:
             np.testing.assert_array_equal(g1[name], g2[name])
@@ -246,13 +256,16 @@ class TestGreedyDecode:
 
 def reference_decode(params, task, source, max_len):
     """Greedy decode of one source that re-runs decode_batch over the whole
-    prefix at every step (ties break to the lowest id)."""
+    prefix at every step (ties break to the lowest id; PAD, which is padding
+    and not a token, is never chosen)."""
     states, tape = model.encode_batch(params, np.asarray(source)[None])
     prefix, out = [BOS], []
     for _ in range(max_len):
         logits, _ = model.decode_batch(params, task, states, tape["mask"],
                                        np.asarray(prefix)[None])
-        nxt = int(np.argmax(logits[0, -1]))
+        scores = logits[-1].copy()
+        scores[PAD] = -np.inf
+        nxt = int(np.argmax(scores))
         if nxt == EOS:
             break
         out.append(nxt)
@@ -265,11 +278,10 @@ def reference_decode(params, task, source, max_len):
 def reference_cross(params, task, source, ids):
     """Cross-attention (layers, heads, steps, src) from one full-prefix pass
     over BOS plus the decoded ids, as attention export used to compute it."""
-    trace = model.AttentionTrace()
     states, tape = model.encode_batch(params, np.asarray(source)[None])
-    model.decode_batch(params, task, states, tape["mask"],
-                       np.asarray([BOS] + ids)[None], trace=trace)
-    return np.stack(trace.cross)
+    _, dec_tape = model.decode_batch(params, task, states, tape["mask"],
+                                     np.asarray([BOS] + ids)[None])
+    return np.stack(attention(dec_tape, "cross"))
 
 
 def parity_params(seed=4, **kv):
@@ -361,3 +373,205 @@ class TestExportAttentionParity:
                                        rtol=0, atol=1e-12)
             if eos_bias:
                 assert len(ids) == trained.config.max_tgt_len - 2
+
+
+# ---------------------------------------------------------------------------
+# packed training against the padded path it replaced
+# ---------------------------------------------------------------------------
+
+
+def padded_loss_and_grads(params, task, src, tgt_full):
+    """Loss and gradient arena of the padded path that packed training
+    replaced: every (B, T) position is computed, PAD included, and weight
+    gradients contract over both batch axes (dropout off)."""
+    cfg, t = params.config, params.tensors
+    grads = model.zero_grads(params)
+    h, scale = cfg.n_heads, 1.0 / np.sqrt(cfg.d_model // cfg.n_heads)
+
+    def heads(x):
+        b, n, d = x.shape
+        return x.reshape(b, n, h, d // h).transpose(0, 2, 1, 3)
+
+    def merge(x):
+        b, _, n, dk = x.shape
+        return x.transpose(0, 2, 1, 3).reshape(b, n, h * dk)
+
+    def linear(x, name):
+        def bwd(d):
+            grads[name] += np.tensordot(x, d, axes=([0, 1], [0, 1]))
+            return d @ t[name].T
+        return x @ t[name], bwd
+
+    def norm(x, name):
+        xc = x - x.mean(-1, keepdims=True)
+        inv = 1.0 / np.sqrt((xc * xc).mean(-1, keepdims=True) + 1e-5)
+        xhat, g = xc * inv, t[f"{name}.g"]
+
+        def bwd(d):
+            grads[f"{name}.g"] += (d * xhat).sum(axis=(0, 1))
+            grads[f"{name}.b"] += d.sum(axis=(0, 1))
+            dxh = d * g
+            return inv * (dxh - dxh.mean(-1, keepdims=True)
+                          - xhat * (dxh * xhat).mean(-1, keepdims=True))
+        return g * xhat + t[f"{name}.b"], bwd
+
+    def mha(x, kv, name, mask):
+        (q, bq), (k, bk), (v, bv) = (linear(a, f"{name}.{w}") for a, w in
+                                     ((x, "wq"), (kv, "wk"), (kv, "wv")))
+        q, k, v = heads(q), heads(k), heads(v)
+        s = q @ k.transpose(0, 1, 3, 2) * scale + mask
+        a = np.exp(s - s.max(-1, keepdims=True))
+        a /= a.sum(-1, keepdims=True)
+        out, bo = linear(merge(a @ v), f"{name}.wo")
+
+        def bwd(d):
+            dctx = heads(bo(d))
+            da = dctx @ v.transpose(0, 1, 3, 2)
+            ds = a * (da - (da * a).sum(-1, keepdims=True)) * scale
+            return (bq(merge(ds @ k)), bk(merge(ds.transpose(0, 1, 3, 2) @ q))
+                    + bv(merge(a.transpose(0, 1, 3, 2) @ dctx)))
+        return out, bwd
+
+    def ffn(x, name):
+        pre, b1 = linear(x, f"{name}.w1")
+        pre = pre + t[f"{name}.b1"]
+        out, b2 = linear(np.maximum(pre, 0.0), f"{name}.w2")
+
+        def bwd(d):
+            grads[f"{name}.b2"] += d.sum(axis=(0, 1))
+            dpre = b2(d) * (pre > 0)
+            grads[f"{name}.b1"] += dpre.sum(axis=(0, 1))
+            return b1(dpre)
+        return out + t[f"{name}.b2"], bwd
+
+    def block(x, tape, ln, kind, name, mask=None, kv=None):
+        normed, ln_bwd = norm(x, ln)
+        if kind == "ffn":
+            out, sub_bwd = ffn(normed, name)
+        else:
+            out, sub_bwd = mha(normed, normed if kv is None else kv, name, mask)
+        tape.append((kind, ln_bwd, sub_bwd))
+        return x + out
+
+    def walk(d, tape):
+        dstates = 0.0
+        for kind, ln_bwd, sub_bwd in reversed(tape):
+            if kind == "ffn":
+                dsub = sub_bwd(d)
+            else:
+                dsub, dkv = sub_bwd(d)
+                if kind == "attn":
+                    dsub = dsub + dkv
+                else:
+                    dstates = dstates + dkv
+            d = d + ln_bwd(dsub)
+        return d, dstates
+
+    src, tgt_full = np.asarray(src), np.asarray(tgt_full)
+    tgt, gold = tgt_full[:, :-1], tgt_full[:, 1:]
+    key_mask = np.where(src != PAD, 0.0, -1e30)[:, None, None, :]
+    n_tgt = tgt.shape[1]
+    causal = np.where(np.tril(np.ones((n_tgt, n_tgt), dtype=bool)), 0.0, -1e30)
+    enc, dec, dec_key = [], [], f"dec.{task}"
+    x = t["src_embed"][src] + model.positional_encoding(src.shape[1], cfg.d_model,
+                                                        np.float64)
+    for i in range(cfg.n_enc_layers):
+        x = block(x, enc, f"enc.{i}.ln1", "attn", f"enc.{i}.attn", key_mask)
+        x = block(x, enc, f"enc.{i}.ln2", "ffn", f"enc.{i}.ffn")
+    states, enc_ln_bwd = norm(x, "enc.ln_f")
+    y = t[f"{dec_key}.tgt_embed"][tgt] + model.positional_encoding(
+        n_tgt, cfg.d_model, np.float64)
+    for i in range(cfg.n_dec_layers):
+        name = f"{dec_key}.{i}"
+        y = block(y, dec, f"{name}.ln1", "attn", f"{name}.self_attn", causal)
+        y = block(y, dec, f"{name}.ln2", "cross", f"{name}.cross_attn", key_mask,
+                  states)
+        y = block(y, dec, f"{name}.ln3", "ffn", f"{name}.ffn")
+    normed, dec_ln_bwd = norm(y, f"{dec_key}.ln_f")
+    logits, out_bwd = linear(normed, f"{dec_key}.out.w")
+    logits = logits + t[f"{dec_key}.out.b"]
+    counted = gold != PAD
+    n = counted.sum()
+    logp = logits - logits.max(-1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(-1, keepdims=True))
+    onehot = np.eye(cfg.tgt_vocab_size)[gold]
+    value = -(logp * onehot).sum(-1)[counted].sum() / n
+    dlogits = (np.exp(logp) - onehot) * counted[:, :, None] / n
+    grads[f"{dec_key}.out.b"] += dlogits.sum(axis=(0, 1))
+    dy, dstates = walk(dec_ln_bwd(out_bwd(dlogits)), dec)
+    np.add.at(grads[f"{dec_key}.tgt_embed"], tgt, dy)
+    dx, _ = walk(enc_ln_bwd(dstates), enc)
+    np.add.at(grads["src_embed"], src, dx)
+    return value, grads
+
+
+def random_batch(rng, lengths, vocab=12):
+    """Right-padded (src, tgt_full) with the given (source, target) lengths;
+    targets are BOS ... EOS."""
+    src = np.full((len(lengths), max(s for s, _ in lengths)), PAD)
+    tgt = np.full((len(lengths), max(t for _, t in lengths)), PAD)
+    for row, (s_len, t_len) in enumerate(lengths):
+        src[row, :s_len] = rng.integers(4, vocab, s_len)
+        tgt[row, :t_len] = [BOS, *rng.integers(4, vocab, t_len - 2), EOS]
+    return src, tgt
+
+
+BATCHES = {
+    "mixed": [(9, 7), (2, 3), (14, 12), (5, 4)],
+    "no-padding": [(6, 5), (6, 5), (6, 5)],
+    "one-row": [(7, 6)],
+}
+
+
+class TestPackedTrainingParity:
+    @pytest.mark.parametrize("layers,d_model", [(1, 16), (2, 32)])
+    @pytest.mark.parametrize("batch", sorted(BATCHES))
+    @pytest.mark.parametrize("task", ["pre", "in", "post"])
+    def test_loss_and_grads_match_padded_path(self, layers, d_model, batch, task):
+        params = model.init_params(tiny_config(d_model=d_model, n_heads=4,
+                                               n_enc_layers=layers,
+                                               n_dec_layers=layers, seed=11))
+        src, tgt = random_batch(np.random.default_rng(layers), BATCHES[batch])
+        value, grads = model.loss_and_grads_batch(params, task, src, tgt)
+        ref_value, ref_grads = padded_loss_and_grads(params, task, src, tgt)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
+        for name in params.tensors:
+            scale = np.abs(ref_grads[name]).max()
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12,
+                                       atol=1e-12 * scale, err_msg=name)
+
+
+class TestPaddingInvariance:
+    @pytest.mark.parametrize("task", ["pre", "in", "post"])
+    def test_batch_is_token_weighted_sum_of_rows(self, task):
+        params = model.init_params(tiny_config(d_model=16, n_heads=4, seed=12))
+        src, tgt = random_batch(np.random.default_rng(5), [(2, 3), (15, 14)])
+        value, grads = model.loss_and_grads_batch(params, task, src, tgt)
+        counts = (tgt[:, 1:] != PAD).sum(axis=1)
+        want_value, want = 0.0, np.zeros_like(params.flat)
+        for row, n in enumerate(counts):
+            keep = src[row] != PAD
+            row_value, row_grads = model.loss_and_grads_batch(
+                params, task, src[row:row + 1, keep], tgt[row:row + 1, :1 + n])
+            want_value += n * row_value / counts.sum()
+            want += n * row_grads.flat / counts.sum()
+        assert value == pytest.approx(want_value, rel=1e-12, abs=0)
+        np.testing.assert_allclose(grads.flat, want, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want).max())
+
+    def test_pad_embedding_rows_get_no_gradient_and_stay_put(self):
+        params = model.init_params(tiny_config(d_model=16, n_heads=4, dropout=0.1,
+                                               seed=13))
+        before = params.copy()
+        tables = ["src_embed"] + [f"dec.{t}.tgt_embed" for t in ("pre", "in", "post")]
+        opt, rng = train.Adam(train.TrainPlan()), np.random.default_rng(6)
+        for step, task in enumerate(["pre", "in", "post", "pre"]):
+            src, tgt = random_batch(np.random.default_rng(step), BATCHES["mixed"])
+            grads = model.loss_and_grads_batch(params, task, src, tgt, rng=rng)[1]
+            assert grads["src_embed"].any() and grads[f"dec.{task}.tgt_embed"].any()
+            for name in tables:
+                assert not grads[name][PAD].any(), name
+            opt.step(params, grads, 1e-2, params.spans(task))
+        for name in tables:
+            assert params[name][PAD].tobytes() == before[name][PAD].tobytes(), name
+            assert params[name].tobytes() != before[name].tobytes(), name

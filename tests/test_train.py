@@ -175,6 +175,13 @@ class TestAdamParity:
         assert clipped == 9
         np.testing.assert_allclose(arena.flat, ref.flat, rtol=1e-12, atol=0)
 
+    @pytest.mark.parametrize("clip_norm", [1e9, 0.5])
+    def test_chunked_update_bit_identical_to_one_pass(self, monkeypatch, clip_norm):
+        one_pass, _, _ = self._run(clip_norm)
+        monkeypatch.setattr(train, "ADAM_CHUNK", 997)  # many chunks, a ragged last one
+        chunked, _, _ = self._run(clip_norm)
+        assert chunked.flat.tobytes() == one_pass.flat.tobytes()
+
     def test_spans_cover_shared_and_own_decoder(self):
         _, _, cfg, _ = small_setup()
         params = model.init_params(cfg)
