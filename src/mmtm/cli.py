@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -99,12 +100,11 @@ def _read_config_file(path: str, defaults: dict) -> dict:
 
 
 def _resolve_config_plan(args):
-    """Config file values first, then flags (flags win)."""
-    cfg = {
-        "d_model": 64, "n_enc_layers": 1, "n_dec_layers": 1, "n_heads": 4,
-        "dropout": 0.1, "dtype": "float64",
-        "max_src_len": 128, "max_tgt_len": 48,
-    }
+    """ModelConfig defaults, then config file values, then flags (flags win)."""
+    cfg_keys = ("d_model", "n_enc_layers", "n_dec_layers", "n_heads", "dropout",
+                "dtype", "max_src_len", "max_tgt_len")
+    cfg = {f.name: f.default for f in dataclasses.fields(model.ModelConfig)
+           if f.name in cfg_keys}
     plan_keys = ("pretrain_epochs", "finetune_epochs", "pretrain_lr", "finetune_lr",
                  "batch_size")
     file_cfg = {}

@@ -6,8 +6,8 @@ into a tree whose evaluation matches the gold answer within a relative
 tolerance of 1e-4 (floored at absolute 1e-4). Decoding is batched and cached:
 `score` hands every record to one `model.greedy_decode` call, which encodes
 `model.DECODE_CHUNK` questions at a time and grows each label one position
-per step against cached attention keys and values. Attention export reads the cross-attention
-weights from that same single pass.
+per step against cached attention keys and values. `export_attention` does
+not reuse that pass: it decodes its record again, alone (ROADMAP item 3).
 
 Every miss carries a failure reason: `input_too_long` (the question exceeds
 the model's `max_src_len` and is never decoded), `decode_malformed` (the
@@ -172,16 +172,16 @@ def compare_models(report_a: EvalReport, report_b: EvalReport) -> dict:
 
 
 def export_attention(trained: TrainedModel, record: MwpRecord,
-                     task: TraversalVariant = TraversalVariant.PRE_ORDER,
                      path: Optional[str | Path] = None) -> dict:
     """Aggregate cross-attention mass each source token received over a full
-    greedy decode (mean over layers and heads, summed over decode steps). The
-    steps are BOS and every predicted token, so the weights sum to
-    `decode_steps`; the label and the weights come from one cached decode."""
+    greedy pre-order decode of this record alone (mean over layers and heads,
+    summed over decode steps). The steps are BOS and every predicted token, so
+    the weights sum to `decode_steps`; label and weights come from one decode."""
     vocab = trained.vocab
     tokens = tokenize(record.masked_question)
     trace: list[np.ndarray] = []
-    [ids] = _decode(trained, task, [vocab.encode_src(tokens)], cross_trace=trace)
+    [ids] = _decode(trained, TraversalVariant.PRE_ORDER, [vocab.encode_src(tokens)],
+                    cross_trace=trace)
     per_token = trace[0].mean(axis=(0, 1)).sum(axis=0)  # (layers, heads, steps, src)
     report = {
         "record_id": record.id,

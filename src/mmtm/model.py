@@ -28,6 +28,8 @@ projections, FFN, dropout, output projection, loss, and their backward) runs
 on (N, d) rows, one per non-PAD position of the padded source and of the
 BOS-prefixed target input. Only the attention core (scores, softmax, context)
 runs on the padded (B, h, T, T) layout. PAD gets no embedding gradient.
+Greedy decoding runs the same sublayer functions, one row per source and
+step, against cached cross-attention and self-attention keys and values.
 """
 
 from __future__ import annotations
@@ -316,8 +318,10 @@ def _embed(table, ids, pack):
 def _to_heads(x, pack, h):
     """Packed rows (N, d) -> split heads (B, h, T, d/h), zero at PAD positions."""
     rows, (b, t_len) = pack
-    full = np.zeros((b * t_len, x.shape[1]), dtype=x.dtype)
-    full[rows] = x
+    full = x
+    if len(rows) < b * t_len:
+        full = np.zeros((b * t_len, x.shape[1]), dtype=x.dtype)
+        full[rows] = x
     return full.reshape(b, t_len, h, -1).transpose(0, 2, 1, 3)
 
 
@@ -340,14 +344,23 @@ def _attend(q, k, v, add_mask):
     return _merge_heads(np.matmul(attn, v)), attn
 
 
-def _mha_fwd(params, name, x_q, x_kv, packs, add_mask, rng):
-    """Projections on packed rows; only the attention core runs padded."""
+def _mha_fwd(params, name, x_q, x_kv, packs, add_mask, rng, past=None):
+    """Projections on packed rows; only the attention core runs padded. With
+    `x_kv` None, `past` holds the split-head keys and values; otherwise `past`
+    (if given) is cache views whose last slot takes those of `x_kv`."""
     t, cfg = params.tensors, params.config
     q = _to_heads(x_q @ t[f"{name}.wq"], packs[0], cfg.n_heads)
-    k = _to_heads(x_kv @ t[f"{name}.wk"], packs[1], cfg.n_heads)
-    v = _to_heads(x_kv @ t[f"{name}.wv"], packs[1], cfg.n_heads)
+    if x_kv is None:
+        k, v = past
+    else:
+        k = _to_heads(x_kv @ t[f"{name}.wk"], packs[1], cfg.n_heads)
+        v = _to_heads(x_kv @ t[f"{name}.wv"], packs[1], cfg.n_heads)
+        if past is not None:
+            past[0][..., -1:, :], past[1][..., -1:, :] = k, v
+            k, v = past
     ctx, attn = _attend(q, k, v, add_mask)
-    ctx = ctx[packs[0][0]]
+    if len(packs[0][0]) < len(ctx):
+        ctx = ctx[packs[0][0]]
     out, keep = _dropout_fwd(ctx @ t[f"{name}.wo"], cfg.dropout, rng)
     cache = {"name": name, "x_q": x_q, "x_kv": x_kv, "q": q, "k": k, "v": v,
              "attn": attn, "ctx": ctx, "keep": keep, "packs": packs}
@@ -400,16 +413,16 @@ def _ffn_bwd(dout, cache, params, grads):
 
 
 def _sublayer_fwd(params, kind, name, ln, x, caches, rng, packs=None, mask=None,
-                  kv=None):
+                  kv=None, past=None):
     """Pre-LN residual x + sublayer(LN(x)) on packed rows. `kind` is attn
-    (self-attention), cross (attention over `kv`) or ffn; `packs` are the
-    query and key layouts; `caches` collects the tape."""
+    (self-attention), cross (attention over `kv`) or ffn. `packs` (query and
+    key layouts) and `past` go to _mha_fwd; `caches` collects the tape."""
     normed, ln_cache = _ln_fwd(x, params[f"{ln}.g"], params[f"{ln}.b"])
     if kind == "ffn":
         out, sub_cache = _ffn_fwd(params, name, normed, rng)
     else:
-        out, sub_cache = _mha_fwd(params, name, normed, normed if kv is None else kv,
-                                  packs, mask, rng)
+        x_kv = normed if kind == "attn" else kv
+        out, sub_cache = _mha_fwd(params, name, normed, x_kv, packs, mask, rng, past)
     if caches is not None:
         caches.append((kind, ln, ln_cache, sub_cache))
     return x + out
@@ -583,8 +596,7 @@ def greedy_decode(params: ParamStore, task, sources: Sequence[Sequence[int]],
     Sources are sorted by length and decoded DECODE_CHUNK at a time, so
     chunks carry little padding: each chunk is encoded once, cross-attention
     keys and values are computed once per layer, and each step runs the
-    decoder for one new position against cached self-attention keys and
-    values (incremental decoding).
+    decoder for one new position against a self-attention key/value cache.
 
     With `cross_trace`, appends per source an array (layers, heads, steps,
     source length) of cross-attention weights, one step for BOS and each
@@ -607,10 +619,9 @@ def greedy_decode(params: ParamStore, task, sources: Sequence[Sequence[int]],
 
 def _greedy_chunk(params, key, sources, limit, with_trace):
     """(ids, cross-attention or None) per source of one chunk. Each step runs
-    the layer functions on one (b, d) row per source."""
+    the decoder sublayers on one (b, d) row per source."""
     cfg, t = params.config, params.tensors
     dt, h, b = cfg.np_dtype, cfg.n_heads, len(sources)
-    dk = cfg.d_model // h
     lengths = [len(s) for s in sources]
     src = np.full((b, max(lengths)), PAD, dtype=np.int64)
     for row, ids in enumerate(sources):
@@ -621,34 +632,28 @@ def _greedy_chunk(params, key, sources, limit, with_trace):
                            enc_tape["pack"], h)
                  for w in ("wk", "wv")] for i in range(cfg.n_dec_layers)]
     n_pos = limit + with_trace
-    cache_shape = (cfg.n_dec_layers, b, h, n_pos, dk)
-    self_k, self_v = np.empty(cache_shape, dtype=dt), np.empty(cache_shape, dtype=dt)
+    self_kv = np.empty((cfg.n_dec_layers, 2, b, h, n_pos, cfg.d_model // h), dtype=dt)
+    step = ((np.arange(b), (b, 1)),) * 2  # query and key packs: a row per source
     pe = positional_encoding(n_pos, cfg.d_model, dt)
     out_b = t[f"dec.{key}.out.b"].copy()
     out_b[PAD] = -np.inf
-    cross = [[] for _ in range(cfg.n_dec_layers)]
+    cross: list = []
     out: list[list[int]] = [[] for _ in range(b)]
     tokens = np.full(b, BOS)
     running = np.ones(b, dtype=bool)
     for pos in range(n_pos):
         x = t[f"dec.{key}.tgt_embed"][tokens] + pe[pos]
+        caches = []
         for i in range(cfg.n_dec_layers):
             name = f"dec.{key}.{i}"
-            normed, _ = _ln_fwd(x, t[f"{name}.ln1.g"], t[f"{name}.ln1.b"])
-            attn = f"{name}.self_attn"
-            self_k[i, :, :, pos] = (normed @ t[f"{attn}.wk"]).reshape(b, h, dk)
-            self_v[i, :, :, pos] = (normed @ t[f"{attn}.wv"]).reshape(b, h, dk)
-            ctx, _ = _attend((normed @ t[f"{attn}.wq"]).reshape(b, h, 1, dk),
-                             self_k[i, :, :, :pos + 1], self_v[i, :, :, :pos + 1], None)
-            x = x + ctx @ t[f"{attn}.wo"]
-            normed, _ = _ln_fwd(x, t[f"{name}.ln2.g"], t[f"{name}.ln2.b"])
-            attn = f"{name}.cross_attn"
-            ctx, weights = _attend((normed @ t[f"{attn}.wq"]).reshape(b, h, 1, dk),
-                                   *cross_kv[i], cross_mask)
-            if with_trace:
-                cross[i].append(weights[:, :, 0])
-            x = x + ctx @ t[f"{attn}.wo"]
-            x = _sublayer_fwd(params, "ffn", f"{name}.ffn", f"{name}.ln3", x, None, None)
+            x = _sublayer_fwd(params, "attn", f"{name}.self_attn", f"{name}.ln1", x,
+                              caches, None, step, past=self_kv[i, ..., :pos + 1, :])
+            x = _sublayer_fwd(params, "cross", f"{name}.cross_attn", f"{name}.ln2", x,
+                              caches, None, step, cross_mask, past=cross_kv[i])
+            x = _sublayer_fwd(params, "ffn", f"{name}.ffn", f"{name}.ln3", x, caches,
+                              None)
+        if with_trace:
+            cross.append([c[3]["attn"][:, :, 0] for c in caches if c[0] == "cross"])
         if pos == limit:
             break
         normed, _ = _ln_fwd(x, t[f"dec.{key}.ln_f.g"], t[f"dec.{key}.ln_f.b"])
@@ -660,6 +665,6 @@ def _greedy_chunk(params, key, sources, limit, with_trace):
             out[row].append(int(tokens[row]))
     if not with_trace:
         return [(ids, None) for ids in out]
-    stacked = np.stack([np.stack(steps, axis=2) for steps in cross])
+    stacked = np.stack([np.stack(steps, axis=2) for steps in zip(*cross)])
     return [(ids, stacked[:, row, :, :len(ids) + 1, :lengths[row]])
             for row, ids in enumerate(out)]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -58,10 +57,8 @@ class TrainPlan:
 class TrainLog:
     steps: list[dict] = field(default_factory=list)
     epochs: list[dict] = field(default_factory=list)
-    wall_clock_s: float = 0.0
 
     def to_jsonl(self) -> str:
-        # wall clock is reported separately so logs stay run-to-run identical
         lines = [json.dumps({"kind": "step", **s}, sort_keys=True) for s in self.steps]
         lines += [json.dumps({"kind": "epoch", **e}, sort_keys=True)
                   for e in self.epochs]
@@ -83,11 +80,10 @@ class Adam:
         self.t = 0
 
     def step(self, params: ParamStore, grads: model.Arena, lr: float,
-             names: Optional[Sequence[tuple[int, int]]] = None):
-        """Update the `names` spans of params.flat, (start, stop) offsets
-        (default: all), from the gradient arena; leaves those gradients zeroed."""
+             spans: Sequence[tuple[int, int]]):
+        """Update the `spans` of params.flat, (start, stop) offsets, from the
+        gradient arena; leaves those gradients zeroed."""
         plan = self.plan
-        spans = [(0, params.size())] if names is None else list(names)
         if self.m is None:
             self.m, self.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
         tmp = np.empty(max(stop - start for start, stop in spans),
@@ -144,7 +140,6 @@ def _run_stage(params: ParamStore, opt: Adam, stage: str, lr: float,
     grads = model.zero_grads(params)
     spans = {task: params.spans(task) for task in params.tasks}
     log = TrainLog()
-    started = time.monotonic()
     for epoch, batches in enumerate(epochs):
         losses = []
         for batch in batches:
@@ -160,7 +155,6 @@ def _run_stage(params: ParamStore, opt: Adam, stage: str, lr: float,
             losses.append(value)
         log.epochs.append(dict(stage=stage, epoch=epoch,
                                mean_loss=float(np.mean(losses))))
-    log.wall_clock_s = time.monotonic() - started
     return log
 
 

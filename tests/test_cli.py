@@ -1,9 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from mmtm import cli, dataset, pca_init, synth
+from mmtm import cli, dataset, model, pca_init, synth
 from mmtm.pca_init import PretrainedEmbeddings
 from conftest import long_question_row
 
@@ -107,6 +108,15 @@ class TestTrain:
         assert manifest["config"]["d_model"] == 16  # flag beat the config file
         assert manifest["plan"]["finetune_epochs"] == 1  # file value kept
 
+    def test_shape_defaults_are_model_config_defaults(self, corpus_path, tmp_path):
+        rc = cli.main(["train", "--corpus", str(corpus_path), "--out", str(tmp_path),
+                       "--no-pretrain", "--finetune-epochs", "1"])
+        assert rc == 0
+        config = json.loads((tmp_path / "manifest.json").read_text())["config"]
+        defaults = {f.name: f.default for f in dataclasses.fields(model.ModelConfig)}
+        keys = ("d_model", "n_enc_layers", "n_dec_layers", "n_heads", "dropout",
+                "dtype", "max_src_len", "max_tgt_len")
+        assert {k: config[k] for k in keys} == {k: defaults[k] for k in keys}
 
     def test_overlength_record_quarantined(self, tmp_path, capsys):
         corpus = tmp_path / "train.jsonl"

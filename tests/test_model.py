@@ -346,6 +346,7 @@ class TestBatchedDecodeParity:
         sources = mixed_sources(12)
         trace = []
         got = model.greedy_decode(params, "pre", sources, 20, cross_trace=trace)
+        assert got == assert_matches_reference(params, sources, 20)  # tracing is inert
         assert len(trace) == len(sources)
         for source, ids, cross in zip(sources, got, trace):
             expected = reference_cross(params, "pre", source, ids)
