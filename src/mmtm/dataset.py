@@ -50,8 +50,12 @@ class MwpRecord:
     quantities: tuple[Fraction, ...]
     op_count: int
     op_types: frozenset[str]
+    # The tree `make_record` parsed while validating; trees are immutable.
+    parsed: ExprTree | None = field(default=None, compare=False, repr=False)
 
     def tree(self) -> ExprTree:
+        if self.parsed is not None:
+            return self.parsed
         return expr.parse_infix(self.equation, len(self.quantities))
 
 
@@ -140,6 +144,7 @@ def make_record(raw: dict, line_no: int = 0) -> MwpRecord:
         quantities=tuple(quantities),
         op_count=len(ops),
         op_types=frozenset(ops),
+        parsed=tree,
     )
 
 

@@ -34,7 +34,10 @@ step, against cached cross-attention and self-attention keys and values.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
 from collections.abc import Mapping
 from dataclasses import dataclass, asdict
 from typing import Optional, Sequence
@@ -49,6 +52,30 @@ _NEG = -1e30
 # Sources per greedy-decode batch. It bounds the encoder activations and K/V
 # caches held at once; 32 rows decode as fast as 64 at a lower peak RSS.
 DECODE_CHUNK = 32
+
+
+def _pin_malloc_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds; does nothing off glibc.
+
+    By default glibc raises its mmap threshold to the largest mapped block
+    freed so far, so whether a step's temporaries over 128 KiB are mapped
+    (and page-faulted in) afresh on every step depends on what the process
+    freed before. Setting either threshold turns that off, so both are set:
+    blocks under 32 MiB come from the heap, and up to 1 GiB of free heap is
+    kept rather than returned to the system."""
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+    except (AttributeError, ValueError, OSError):
+        return
+    libc = ctypes.CDLL(None)  # the loaded libc, with no ldconfig lookup
+    libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    libc.mallopt.restype = ctypes.c_int
+    libc.mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
+_pin_malloc_thresholds()
 
 
 class ModelError(Exception):
@@ -258,13 +285,24 @@ def init_params(
 
 
 def positional_encoding(length: int, d_model: int, dtype) -> np.ndarray:
+    """Sinusoidal position rows (length, d_model), read-only. A row depends
+    only on its position, so this is the head of a cached table whose length
+    is the next power of two."""
+    size = 1 << max(length - 1, 0).bit_length()
+    return _sinusoid_table(size, d_model, np.dtype(dtype))[:length]
+
+
+@functools.lru_cache(maxsize=None)
+def _sinusoid_table(length: int, d_model: int, dtype: np.dtype) -> np.ndarray:
     pos = np.arange(length)[:, None].astype(np.float64)
     dim = np.arange(d_model // 2)[None, :].astype(np.float64)
     angle = pos / np.power(10000.0, 2.0 * dim / d_model)
     pe = np.zeros((length, d_model))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
-    return pe.astype(dtype)
+    pe = pe.astype(dtype)
+    pe.flags.writeable = False
+    return pe
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +311,10 @@ def positional_encoding(length: int, d_model: int, dtype) -> np.ndarray:
 
 
 def _ln_fwd(x, g, b):
-    mu = x.mean(-1, keepdims=True)
-    xc = x - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(-1, keepdims=True) + _LN_EPS)
+    # np.add.reduce(...) / d is what .mean does, without its Python wrapper.
+    d = x.shape[-1]
+    xc = x - np.add.reduce(x, -1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / d + _LN_EPS)
     xhat = xc * inv
     return g * xhat + b, {"xhat": xhat, "inv": inv, "g": g}
 
@@ -285,8 +324,9 @@ def _ln_bwd(dout, cache, grads, name):
     grads[f"{name}.g"] += (dout * xhat).sum(0)
     grads[f"{name}.b"] += dout.sum(0)
     dxhat = dout * g
-    m1 = dxhat.mean(-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(-1, keepdims=True)
+    d = dxhat.shape[-1]
+    m1 = np.add.reduce(dxhat, -1, keepdims=True) / d
+    m2 = np.add.reduce(dxhat * xhat, -1, keepdims=True) / d
     return inv * (dxhat - m1 - xhat * m2)
 
 
@@ -338,9 +378,9 @@ def _attend(q, k, v, add_mask):
     attn *= 1.0 / math.sqrt(q.shape[-1])
     if add_mask is not None:
         attn += add_mask
-    attn -= attn.max(-1, keepdims=True)
+    attn -= np.maximum.reduce(attn, -1, keepdims=True)
     np.exp(attn, out=attn)
-    attn /= attn.sum(-1, keepdims=True)
+    attn /= np.add.reduce(attn, -1, keepdims=True)
     return _merge_heads(np.matmul(attn, v)), attn
 
 

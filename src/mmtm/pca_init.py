@@ -107,7 +107,8 @@ def pca_project(matrix: np.ndarray, d: int):
     Components are orthonormal, ordered by decreasing singular value, with
     each column's largest-magnitude entry made positive. Rank-deficient
     inputs are allowed: trailing components come from the SVD's orthonormal
-    completion and their variance is reported as 0.
+    completion and their variance is reported as 0. The SVD is reduced
+    unless d > M, where only the full one completes the basis.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
@@ -119,7 +120,7 @@ def pca_project(matrix: np.ndarray, d: int):
         raise BadDim(f"d={d} outside [1, {width}]")
     mean = matrix.mean(axis=0)
     centered = matrix - mean
-    _, svals, vt = np.linalg.svd(centered, full_matrices=True)
+    _, svals, vt = np.linalg.svd(centered, full_matrices=d > m)
     components = vt[:d].T.copy()
     flip = np.sign(components[np.abs(components).argmax(axis=0),
                               np.arange(d)])

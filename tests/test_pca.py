@@ -14,6 +14,20 @@ def brute_force_pca(matrix, d):
     return evals[order][:d], evecs[:, order][:, :d]
 
 
+def full_svd_pca(matrix, d):
+    """The full-SVD projection: `pca_project` before it used the reduced SVD."""
+    centered = matrix - matrix.mean(axis=0)
+    _, svals, vt = np.linalg.svd(centered, full_matrices=True)
+    components = vt[:d].T.copy()
+    flip = np.sign(components[np.abs(components).argmax(axis=0), np.arange(d)])
+    flip[flip == 0] = 1.0
+    components *= flip
+    variance = np.zeros(d)
+    k = min(d, svals.shape[0])
+    variance[:k] = svals[:k] ** 2 / (matrix.shape[0] - 1)
+    return centered @ components, components, variance
+
+
 def reference_load(path):
     """The eager loader: every value of every row converted with float()."""
     vectors = {}
@@ -96,6 +110,28 @@ class TestPcaProject:
             pca_init.pca_project(rng.normal(size=(5, 3)), 4)
         with pytest.raises(BadDim):
             pca_init.pca_project(rng.normal(size=(1, 3)), 1)
+
+
+class TestReducedSvdParity:
+    """With d <= M rows, `pca_project` takes the reduced SVD; it must give
+    the full SVD's rows, components and variances. (d > M, the full path, is
+    `test_rank_deficient_trailing_variance_zero`.)"""
+
+    @pytest.mark.parametrize("case", ["m_gt_d", "m_eq_d", "duplicate_rows"])
+    def test_matches_full_svd(self, case):
+        rng = np.random.default_rng(31)
+        matrix, d = {
+            "m_gt_d": (rng.normal(size=(141, 96)), 16),
+            "m_eq_d": (rng.normal(size=(12, 40)), 12),
+            # rank 3 after centering, so components 4-10 span the null space
+            "duplicate_rows": (np.concatenate([rng.normal(size=(4, 30))] * 3), 10),
+        }[case]
+        assert d <= matrix.shape[0]
+        got = pca_init.pca_project(matrix, d)
+        want = full_svd_pca(matrix, d)
+        for name, a, b in zip(("projected", "components", "variance"), got, want):
+            assert a.shape == b.shape, name
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestInitVocabEmbeddings:

@@ -1,9 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mmtm import dataset, model, train
+import mmtm
+from mmtm import dataset, expr, model, synth, train
 from mmtm.dataset import BOS
 from mmtm.expr import TraversalVariant
 from conftest import long_question_row, make_records
@@ -260,3 +265,64 @@ class TestAblation:
     def test_unknown_arm(self):
         with pytest.raises(train.TrainError):
             train.run_ablation("bogus", [], [], None, None)
+
+
+class TestParseOnce:
+    def test_one_parse_per_accepted_record(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.jsonl"
+        synth.write_corpus(path, synth.generate_raw(30, seed=4))
+        calls = []
+        parse = expr.parse_infix
+
+        def counting_parse(*args):
+            calls.append(args)
+            return parse(*args)
+
+        monkeypatch.setattr(expr, "parse_infix", counting_parse)
+        records = dataset.load_corpus(path).records
+        vocab = dataset.build_vocab(records)
+        dataset.augment_corpus(records, vocab)
+        cfg = model.ModelConfig(src_vocab_size=vocab.src_size,
+                                tgt_vocab_size=vocab.tgt_size, d_model=16, n_heads=4)
+        kept, _ = train.split_by_length(records, cfg)
+        assert len(records) == len(kept) == 30
+        assert len(calls) == len(records)
+
+
+def _has_glibc():
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# Two runs of one small d64 fine-tuning stage; prints the minor faults of each.
+_STAGE_TWICE = """
+import resource
+from mmtm import dataset, model, synth, train
+from mmtm.expr import TraversalVariant
+records = [dataset.make_record(raw) for raw in synth.generate_raw(48, seed=3)]
+vocab = dataset.build_vocab(records)
+cfg = model.ModelConfig(src_vocab_size=vocab.src_size, tgt_vocab_size=vocab.tgt_size,
+                        d_model=64, n_heads=4, seed=3)
+examples = dataset.augment_corpus(records, vocab)[TraversalVariant.PRE_ORDER]
+plan = train.TrainPlan(finetune_epochs=1, batch_size=16, seed=3)
+params0 = model.init_params(cfg)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    train.finetune(params0.copy(), examples, plan)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _has_glibc(), reason="malloc thresholds are pinned on glibc only")
+class TestAllocator:
+    def test_repeated_stage_reuses_heap(self):
+        # A fresh process, so nothing freed earlier in the session has raised
+        # glibc's dynamic mmap threshold. Per-step temporaries over 128 KiB
+        # must come from the heap the first run left, not from new mappings.
+        env = {**os.environ, "PYTHONPATH": str(Path(mmtm.__file__).parents[1])}
+        proc = subprocess.run([sys.executable, "-c", _STAGE_TWICE], env=env,
+                              capture_output=True, text=True, check=True)
+        faults = [int(line) for line in proc.stdout.split()]
+        assert len(faults) == 2 and faults[1] < 1000, faults
