@@ -41,7 +41,11 @@ def _sha256(path: Path) -> str:
 def _default_seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    return int(os.environ.get("MMTM_SEED", "0"))
+    text = os.environ.get("MMTM_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise CliInputError(f"MMTM_SEED must be an integer, got {text!r}") from None
 
 
 def _positive_ints(text: str) -> list[int]:

@@ -26,10 +26,11 @@ use an arena of the same layout (`zero_grads`).
 Batches are packed: every position-wise op (embedding, LayerNorm, Q/K/V/O
 projections, FFN, dropout, output projection, loss, and their backward) runs
 on (N, d) rows, one per non-PAD position of the padded source and of the
-BOS-prefixed target input. Only the attention core (scores, softmax, context)
-runs on the padded (B, h, T, T) layout. PAD gets no embedding gradient.
-Greedy decoding runs the same sublayer functions, one row per source and
-step, against cached cross-attention and self-attention keys and values.
+BOS-prefixed target input. The attention core (scores, softmax, context) runs
+on cache-sized blocks of consecutive batch rows, each padded only to its own
+longest row. The tape keeps the FFN's ReLU output and bool dropout masks. PAD
+gets no embedding gradient. Greedy decoding runs the same sublayers and core,
+one row per source and step, against cached attention keys and values.
 """
 
 from __future__ import annotations
@@ -52,6 +53,9 @@ _NEG = -1e30
 # Sources per greedy-decode batch. It bounds the encoder activations and K/V
 # caches held at once; 32 rows decode as fast as 64 at a lower peak RSS.
 DECODE_CHUNK = 32
+# Score entries (rows x heads x query rows x key rows) per attention block:
+# 512 KiB of float64 scores, so a block's scores and weights stay in L2.
+ATTN_BLOCK = 1 << 16
 
 
 def _pin_malloc_thresholds() -> None:
@@ -331,138 +335,178 @@ def _ln_bwd(dout, cache, grads, name):
 
 
 def _dropout_fwd(x, p, rng):
+    """Inverted dropout; returns the output and the bool keep mask (or None)."""
     if rng is None or p <= 0.0:
         return x, None
-    keep = (rng.random(x.shape) >= p).astype(x.dtype) / (1.0 - p)
-    return x * keep, keep
+    keep = rng.random(x.shape) >= p
+    return _dropout(x, keep, p), keep
 
 
-def _dropout_bwd(dout, keep):
-    return dout if keep is None else dout * keep
+def _dropout(x, keep, p):
+    """x * keep / (1 - p), the scale rounded once in x's dtype (both passes)."""
+    return x if keep is None else x * keep * (x.dtype.type(1) / (1.0 - p))
 
 
 def _pack(mask):
     """The packed layout of a (B, T) mask: the flat indices of its True
-    positions and its shape. A packed array has one row per index, in order."""
-    return np.flatnonzero(mask), mask.shape
+    positions (a packed array has one row per index, in order), its shape,
+    per row the token count, and offsets: row r packs to offs[r]:offs[r + 1]."""
+    lens = np.add.reduce(mask, 1)
+    return np.flatnonzero(mask), mask.shape, lens.tolist(), [0, *lens.cumsum().tolist()]
 
 
 def _embed(table, ids, pack):
     """Packed embedding rows plus sinusoidal position rows, and the packed ids."""
-    rows, (_, t_len) = pack
+    rows, (_, t_len) = pack[:2]
     packed = ids.ravel()[rows]
     pe = positional_encoding(t_len, table.shape[1], table.dtype)
     return table[packed] + pe[rows % t_len], packed
 
 
-def _to_heads(x, pack, h):
-    """Packed rows (N, d) -> split heads (B, h, T, d/h), zero at PAD positions."""
-    rows, (b, t_len) = pack
-    full = x
-    if len(rows) < b * t_len:
-        full = np.zeros((b * t_len, x.shape[1]), dtype=x.dtype)
-        full[rows] = x
-    return full.reshape(b, t_len, h, -1).transpose(0, 2, 1, 3)
+def _layout(pack_q, pack_k, h, dtype, causal=False, limit=None):
+    """Attention blocks: runs of consecutive batch rows with rows * h * Lq * Lk
+    <= `limit` (ATTN_BLOCK), Lq and Lk their longest query and key rows (a
+    larger row is a block alone). A block is its query and key sides (start,
+    stop, rows, L, idx of the real rows among rows * L or None) and a mask."""
+    lq, lk, blocks, r0 = pack_q[2], pack_k[2], [], 0
+    for r1 in range(1, len(lq) + 1):
+        size = (r1 + 1 - r0) * h * max(lq[r0:r1 + 1]) * max(lk[r0:r1 + 1])
+        if r1 < len(lq) and size <= (ATTN_BLOCK if limit is None else limit):
+            continue
+        sides = []
+        for _, _, lens, offs in (pack_q, pack_k):
+            run = lens[r0:r1]
+            length, valid = max(max(run), 1), None
+            if min(run) < length:
+                valid = np.arange(length) < np.array(run)[:, None]
+            sides.append((offs[r0], offs[r1], r1 - r0, length,
+                          None if valid is None else np.flatnonzero(valid)))
+        (q, k), mask, r0 = sides, None, r1
+        if causal:
+            mask = np.triu(np.full((q[3], k[3]), _NEG, dtype=dtype), 1)
+        elif k[4] is not None:  # valid is the key side's
+            mask = np.where(valid, 0.0, _NEG).astype(dtype)[:, None, None, :]
+        blocks.append((q, k, mask))
+    return blocks
 
 
-def _merge_heads(x):
-    """Split heads (B, h, T, dk) -> rows (B*T, h*dk)."""
-    b, h, t, dk = x.shape
-    return x.transpose(0, 2, 1, 3).reshape(b * t, h * dk)
+def _split(x, side, h):
+    """A block side's packed rows of x as heads (rows, h, L, d/h), zero at
+    padded positions: a view of x when no row is short."""
+    start, stop, n, length, idx = side
+    rows = x[start:stop]
+    if idx is not None:
+        rows = np.zeros((n * length, x.shape[1]), dtype=x.dtype)
+        rows[idx] = x[start:stop]
+    return rows.reshape(n, length, h, -1).transpose(0, 2, 1, 3)
 
 
-def _attend(q, k, v, add_mask):
-    """Scaled dot-product softmax attention over split heads (B, h, T, dk);
-    returns the merged context (B*Tq, d) and the weights (B, h, Tq, Tk)."""
-    attn = np.matmul(q, k.transpose(0, 1, 3, 2))  # scores, softmaxed in place
-    attn *= 1.0 / math.sqrt(q.shape[-1])
-    if add_mask is not None:
-        attn += add_mask
-    attn -= np.maximum.reduce(attn, -1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= np.add.reduce(attn, -1, keepdims=True)
-    return _merge_heads(np.matmul(attn, v)), attn
+def _merge(heads, side):
+    """Heads (rows, h, L, d/h) -> the side's real packed rows."""
+    merged = heads.transpose(0, 2, 1, 3).reshape(side[2] * side[3], -1)
+    return merged if side[4] is None else merged[side[4]]
 
 
-def _mha_fwd(params, name, x_q, x_kv, packs, add_mask, rng, past=None):
-    """Projections on packed rows; only the attention core runs padded. With
+def _attention(q, k, v, blocks, h):
+    """Softmax attention of packed query rows over packed key and value rows
+    (or over heads (B, h, L, d/h) that decoding caches, as one block), block
+    by block. Returns the packed context and each block's weights."""
+    scale, pieces, weights = 1.0 / math.sqrt(q.shape[1] // h), [], []
+    for q_side, k_side, mask in blocks:
+        kb, vb = (k, v) if k.ndim == 4 else (_split(k, k_side, h), _split(v, k_side, h))
+        attn = np.matmul(_split(q, q_side, h), kb.transpose(0, 1, 3, 2))
+        attn *= scale  # scores, softmaxed in place
+        if mask is not None:
+            attn += mask
+        attn -= np.maximum.reduce(attn, -1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= np.add.reduce(attn, -1, keepdims=True)
+        pieces.append(_merge(np.matmul(attn, vb), q_side))
+        weights.append(attn)
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces), weights
+
+
+def _mha_fwd(params, name, x_q, x_kv, blocks, rng, past=None):
+    """Multi-head attention on packed rows, its core run on `blocks`. With
     `x_kv` None, `past` holds the split-head keys and values; otherwise `past`
     (if given) is cache views whose last slot takes those of `x_kv`."""
     t, cfg = params.tensors, params.config
-    q = _to_heads(x_q @ t[f"{name}.wq"], packs[0], cfg.n_heads)
+    q = x_q @ t[f"{name}.wq"]
     if x_kv is None:
         k, v = past
     else:
-        k = _to_heads(x_kv @ t[f"{name}.wk"], packs[1], cfg.n_heads)
-        v = _to_heads(x_kv @ t[f"{name}.wv"], packs[1], cfg.n_heads)
+        k, v = x_kv @ t[f"{name}.wk"], x_kv @ t[f"{name}.wv"]
         if past is not None:
-            past[0][..., -1:, :], past[1][..., -1:, :] = k, v
+            past[0][..., -1:, :] = _split(k, blocks[0][0], cfg.n_heads)  # a key each
+            past[1][..., -1:, :] = _split(v, blocks[0][0], cfg.n_heads)
             k, v = past
-    ctx, attn = _attend(q, k, v, add_mask)
-    if len(packs[0][0]) < len(ctx):
-        ctx = ctx[packs[0][0]]
+    ctx, attn = _attention(q, k, v, blocks, cfg.n_heads)
     out, keep = _dropout_fwd(ctx @ t[f"{name}.wo"], cfg.dropout, rng)
     cache = {"name": name, "x_q": x_q, "x_kv": x_kv, "q": q, "k": k, "v": v,
-             "attn": attn, "ctx": ctx, "keep": keep, "packs": packs}
+             "attn": attn, "ctx": ctx, "keep": keep, "blocks": blocks}
     return out, cache
 
 
 def _mha_bwd(dout, cache, params, grads):
-    t = params.tensors
-    name, (pack_q, pack_kv) = cache["name"], cache["packs"]
-    dout = _dropout_bwd(dout, cache["keep"])
+    t, h = params.tensors, params.config.n_heads
+    name, q, k, v = cache["name"], cache["q"], cache["k"], cache["v"]
+    dout = _dropout(dout, cache["keep"], params.config.dropout)
     grads[f"{name}.wo"] += cache["ctx"].T @ dout
-    dctx = _to_heads(dout @ t[f"{name}.wo"].T, pack_q, params.config.n_heads)
-    attn, q, k, v = cache["attn"], cache["q"], cache["k"], cache["v"]
-    dscores = np.matmul(dctx, v.transpose(0, 1, 3, 2))  # d attn, to d scores in place
-    dv = np.matmul(attn.transpose(0, 1, 3, 2), dctx)
-    dscores -= (dscores * attn).sum(-1, keepdims=True)
-    dscores *= attn
-    dscores *= 1.0 / math.sqrt(q.shape[-1])
-    dq = np.matmul(dscores, k)
-    dk = np.matmul(dscores.transpose(0, 1, 3, 2), q)
-    dqm = _merge_heads(dq)[pack_q[0]]
-    dkm, dvm = _merge_heads(dk)[pack_kv[0]], _merge_heads(dv)[pack_kv[0]]
-    grads[f"{name}.wq"] += cache["x_q"].T @ dqm
-    grads[f"{name}.wk"] += cache["x_kv"].T @ dkm
-    grads[f"{name}.wv"] += cache["x_kv"].T @ dvm
-    dx_q = dqm @ t[f"{name}.wq"].T
-    dx_kv = dkm @ t[f"{name}.wk"].T + dvm @ t[f"{name}.wv"].T
+    dctx = dout @ t[f"{name}.wo"].T
+    dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+    scale = 1.0 / math.sqrt(q.shape[1] // h)
+    for (qs, ks, _), attn in zip(cache["blocks"], cache["attn"]):
+        qb, kb, vb, dctxb = (_split(x, side, h) for x, side in
+                             ((q, qs), (k, ks), (v, ks), (dctx, qs)))
+        dscores = np.matmul(dctxb, vb.transpose(0, 1, 3, 2))  # d attn, to d scores
+        dv[ks[0]:ks[1]] = _merge(np.matmul(attn.transpose(0, 1, 3, 2), dctxb), ks)
+        dscores -= (dscores * attn).sum(-1, keepdims=True)
+        dscores *= attn
+        dscores *= scale
+        dq[qs[0]:qs[1]] = _merge(np.matmul(dscores, kb), qs)
+        dk[ks[0]:ks[1]] = _merge(np.matmul(dscores.transpose(0, 1, 3, 2), qb), ks)
+    grads[f"{name}.wq"] += cache["x_q"].T @ dq
+    grads[f"{name}.wk"] += cache["x_kv"].T @ dk
+    grads[f"{name}.wv"] += cache["x_kv"].T @ dv
+    dx_q = dq @ t[f"{name}.wq"].T
+    dx_kv = dk @ t[f"{name}.wk"].T + dv @ t[f"{name}.wv"].T
     return dx_q, dx_kv
 
 
 def _ffn_fwd(params, name, x, rng):
+    """ReLU FFN; the tape keeps the ReLU output, whose sign backward reads."""
     t = params.tensors
-    pre = x @ t[f"{name}.w1"] + t[f"{name}.b1"]
-    hid = np.maximum(pre, 0.0)
-    out = hid @ t[f"{name}.w2"] + t[f"{name}.b2"]
+    hid = x @ t[f"{name}.w1"]
+    hid += t[f"{name}.b1"]
+    np.maximum(hid, 0.0, out=hid)
+    out = hid @ t[f"{name}.w2"]
+    out += t[f"{name}.b2"]
     out, keep = _dropout_fwd(out, params.config.dropout, rng)
-    return out, {"name": name, "x": x, "pre": pre, "hid": hid, "keep": keep}
+    return out, {"name": name, "x": x, "hid": hid, "keep": keep}
 
 
 def _ffn_bwd(dout, cache, params, grads):
-    t = params.tensors
-    name = cache["name"]
-    dout = _dropout_bwd(dout, cache["keep"])
-    grads[f"{name}.w2"] += cache["hid"].T @ dout
+    t, name, hid = params.tensors, cache["name"], cache["hid"]
+    dout = _dropout(dout, cache["keep"], params.config.dropout)
+    grads[f"{name}.w2"] += hid.T @ dout
     grads[f"{name}.b2"] += dout.sum(0)
-    dhid = (dout @ t[f"{name}.w2"].T) * (cache["pre"] > 0)
+    dhid = (dout @ t[f"{name}.w2"].T) * (hid > 0)
     grads[f"{name}.w1"] += cache["x"].T @ dhid
     grads[f"{name}.b1"] += dhid.sum(0)
     return dhid @ t[f"{name}.w1"].T
 
 
-def _sublayer_fwd(params, kind, name, ln, x, caches, rng, packs=None, mask=None,
-                  kv=None, past=None):
+def _sublayer_fwd(params, kind, name, ln, x, caches, rng, blocks=None, kv=None,
+                  past=None):
     """Pre-LN residual x + sublayer(LN(x)) on packed rows. `kind` is attn
-    (self-attention), cross (attention over `kv`) or ffn. `packs` (query and
-    key layouts) and `past` go to _mha_fwd; `caches` collects the tape."""
+    (self-attention), cross (attention over `kv`) or ffn. `blocks` (the
+    attention layout) and `past` go to _mha_fwd; `caches` collects the tape."""
     normed, ln_cache = _ln_fwd(x, params[f"{ln}.g"], params[f"{ln}.b"])
     if kind == "ffn":
         out, sub_cache = _ffn_fwd(params, name, normed, rng)
     else:
         x_kv = normed if kind == "attn" else kv
-        out, sub_cache = _mha_fwd(params, name, normed, x_kv, packs, mask, rng, past)
+        out, sub_cache = _mha_fwd(params, name, normed, x_kv, blocks, rng, past)
     if caches is not None:
         caches.append((kind, ln, ln_cache, sub_cache))
     return x + out
@@ -505,11 +549,11 @@ def encode_batch(params: ParamStore, src_ids, rng=None, keep_caches: bool = True
         raise EmptyInput("all-PAD source row")
     pack = _pack(mask)
     x, ids = _embed(params["src_embed"], src_ids, pack)
-    add_mask = np.where(mask, 0.0, _NEG).astype(cfg.np_dtype)[:, None, None, :]
+    blocks = _layout(pack, pack, cfg.n_heads, cfg.np_dtype)
     caches = [] if keep_caches else None
     for i in range(cfg.n_enc_layers):
         x = _sublayer_fwd(params, "attn", f"enc.{i}.attn", f"enc.{i}.ln1", x, caches,
-                          rng, (pack, pack), add_mask)
+                          rng, blocks)
         x = _sublayer_fwd(params, "ffn", f"enc.{i}.ffn", f"enc.{i}.ln2", x, caches, rng)
     states, lnf_cache = _ln_fwd(x, params["enc.ln_f.g"], params["enc.ln_f.b"])
     tape = {"ids": ids, "mask": mask, "pack": pack, "caches": caches, "lnf": lnf_cache}
@@ -527,16 +571,15 @@ def decode_batch(params: ParamStore, task, states, src_mask, tgt_ids, rng=None):
     if len(states) != len(src_pack[0]):
         raise ShapeMismatch(f"{len(states)} state rows for {len(src_pack[0])} sources")
     x, ids = _embed(params[f"dec.{key}.tgt_embed"], tgt_ids, pack)
-    dt, t_len = cfg.np_dtype, tgt_ids.shape[1]
-    causal = np.triu(np.full((t_len, t_len), _NEG, dtype=dt), 1)[None, None]
-    cross_mask = np.where(src_mask, 0.0, _NEG).astype(dt)[:, None, None, :]
+    self_blocks = _layout(pack, pack, cfg.n_heads, cfg.np_dtype, causal=True)
+    cross_blocks = _layout(pack, src_pack, cfg.n_heads, cfg.np_dtype)
     caches = []
     for i in range(cfg.n_dec_layers):
         name = f"dec.{key}.{i}"
         x = _sublayer_fwd(params, "attn", f"{name}.self_attn", f"{name}.ln1", x, caches,
-                          rng, (pack, pack), causal)
+                          rng, self_blocks)
         x = _sublayer_fwd(params, "cross", f"{name}.cross_attn", f"{name}.ln2", x,
-                          caches, rng, (pack, src_pack), cross_mask, states)
+                          caches, rng, cross_blocks, states)
         x = _sublayer_fwd(params, "ffn", f"{name}.ffn", f"{name}.ln3", x, caches, rng)
     normed, lnf_cache = _ln_fwd(x, params[f"dec.{key}.ln_f.g"],
                                 params[f"dec.{key}.ln_f.b"])
@@ -585,11 +628,6 @@ def encode_bwd(dstates, enc_tape, params, grads):
     np.add.at(grads["src_embed"], enc_tape["ids"], dx)
 
 
-def _log_softmax(logits):
-    shifted = logits - logits.max(-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
-
-
 def loss_batch(logits, gold_full):
     """Token-averaged cross entropy. gold_full: (B, T+1) ids, PAD-padded;
     logits: (N, V), one row per non-PAD position of the BOS-prefixed input
@@ -603,7 +641,8 @@ def loss_batch(logits, gold_full):
         raise EmptyTarget("no non-PAD gold tokens")
     if logits.shape[0] != gold.shape[0]:
         raise ShapeMismatch(f"logits {logits.shape} vs {gold.shape[0]} input positions")
-    logp = _log_softmax(logits)
+    logp = logits - logits.max(-1, keepdims=True)  # log-softmax
+    logp -= np.log(np.exp(logp).sum(-1, keepdims=True))
     rows = np.flatnonzero(counted)
     value = -logp[rows, gold[rows]].sum() / n
     dlogits = np.exp(logp)
@@ -662,18 +701,18 @@ def _greedy_chunk(params, key, sources, limit, with_trace):
     the decoder sublayers on one (b, d) row per source."""
     cfg, t = params.config, params.tensors
     dt, h, b = cfg.np_dtype, cfg.n_heads, len(sources)
-    lengths = [len(s) for s in sources]
-    src = np.full((b, max(lengths)), PAD, dtype=np.int64)
+    src = np.full((b, max(map(len, sources))), PAD, dtype=np.int64)
     for row, ids in enumerate(sources):
         src[row, :len(ids)] = ids
     states, enc_tape = encode_batch(params, src, keep_caches=False)
-    cross_mask = np.where(enc_tape["mask"], 0.0, _NEG).astype(dt)[:, None, None, :]
-    cross_kv = [[_to_heads(states @ t[f"dec.{key}.{i}.cross_attn.{w}"],
-                           enc_tape["pack"], h)
+    step = (np.arange(b), (b, 1), [1] * b, list(range(b + 1)))  # a query per source
+    self_blocks = _layout(step, step, h, dt, limit=math.inf)  # one block per chunk
+    cross_blocks = _layout(step, enc_tape["pack"], h, dt, limit=math.inf)
+    cross_kv = [[_split(states @ t[f"dec.{key}.{i}.cross_attn.{w}"],
+                        cross_blocks[0][1], h)
                  for w in ("wk", "wv")] for i in range(cfg.n_dec_layers)]
     n_pos = limit + with_trace
     self_kv = np.empty((cfg.n_dec_layers, 2, b, h, n_pos, cfg.d_model // h), dtype=dt)
-    step = ((np.arange(b), (b, 1)),) * 2  # query and key packs: a row per source
     pe = positional_encoding(n_pos, cfg.d_model, dt)
     out_b = t[f"dec.{key}.out.b"].copy()
     out_b[PAD] = -np.inf
@@ -687,13 +726,14 @@ def _greedy_chunk(params, key, sources, limit, with_trace):
         for i in range(cfg.n_dec_layers):
             name = f"dec.{key}.{i}"
             x = _sublayer_fwd(params, "attn", f"{name}.self_attn", f"{name}.ln1", x,
-                              caches, None, step, past=self_kv[i, ..., :pos + 1, :])
+                              caches, None, self_blocks,
+                              past=self_kv[i, ..., :pos + 1, :])
             x = _sublayer_fwd(params, "cross", f"{name}.cross_attn", f"{name}.ln2", x,
-                              caches, None, step, cross_mask, past=cross_kv[i])
+                              caches, None, cross_blocks, past=cross_kv[i])
             x = _sublayer_fwd(params, "ffn", f"{name}.ffn", f"{name}.ln3", x, caches,
                               None)
         if with_trace:
-            cross.append([c[3]["attn"][:, :, 0] for c in caches if c[0] == "cross"])
+            cross.append([c[3]["attn"][0][:, :, 0] for c in caches if c[0] == "cross"])
         if pos == limit:
             break
         normed, _ = _ln_fwd(x, t[f"dec.{key}.ln_f.g"], t[f"dec.{key}.ln_f.b"])
@@ -706,5 +746,5 @@ def _greedy_chunk(params, key, sources, limit, with_trace):
     if not with_trace:
         return [(ids, None) for ids in out]
     stacked = np.stack([np.stack(steps, axis=2) for steps in zip(*cross)])
-    return [(ids, stacked[:, row, :, :len(ids) + 1, :lengths[row]])
+    return [(ids, stacked[:, row, :, :len(ids) + 1, :len(sources[row])])
             for row, ids in enumerate(out)]

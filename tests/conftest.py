@@ -2,9 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mmtm import dataset, model, synth, train
 from mmtm.expr import Constant, Leaf, Node, OPERATORS, Placeholder
+
+
+# Property tests draw the same examples on every run, and store none.
+settings.register_profile("derandomized", derandomize=True, database=None,
+                          deadline=None)
+settings.load_profile("derandomized")
 
 
 def pytest_runtest_logreport(report):

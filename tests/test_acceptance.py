@@ -186,7 +186,7 @@ def test_c04_causality_and_attention_stochasticity():
     np.testing.assert_array_equal(a[:2], b[:2])  # bit-identical earlier rows
 
     def weights(tape, kind):  # first row's attention, per layer, from the tape
-        return [sub["attn"][0] for k, _, _, sub in tape["caches"] if k == kind]
+        return [sub["attn"][0][0] for k, _, _, sub in tape["caches"] if k == kind]
 
     for mats in (weights(tape, "attn"), weights(dec_tape, "attn"),
                  weights(dec_tape, "cross")):

@@ -97,6 +97,15 @@ class TestTrain:
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["seed"] == 99
 
+    def test_non_integer_env_seed_exit_2(self, corpus_path, tmp_path, monkeypatch,
+                                         capsys):
+        monkeypatch.setenv("MMTM_SEED", "abc")
+        rc = cli.main(["train", "--corpus", str(corpus_path), "--out",
+                       str(tmp_path)])
+        assert rc == 2
+        assert "MMTM_SEED" in capsys.readouterr().err
+        assert not (tmp_path / "manifest.json").exists()
+
     def test_config_file_flags_win(self, corpus_path, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"d_model": 8, "finetune_epochs": 1}))

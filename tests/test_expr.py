@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmtm import expr
 from mmtm.expr import (
@@ -178,3 +179,32 @@ class TestFormatNumber:
     ])
     def test_rendering(self, value, expected):
         assert expr.format_number(value) == expected
+
+
+_LEAVES = st.one_of(
+    st.builds(lambda i: Leaf(Placeholder(i)), st.integers(0, 4)),
+    st.builds(lambda n, d: Leaf(Constant(Fraction(n, d))), st.integers(0, 999),
+              st.sampled_from([1, 2, 4, 5, 10, 100])))
+TREES = st.recursive(_LEAVES, lambda sub: st.builds(
+    Node, st.sampled_from(expr.OPERATORS), sub, sub), max_leaves=12)
+
+
+class TestTraversalProperties:
+    @settings(max_examples=80)
+    @given(tree=TREES,
+           quantities=st.lists(st.fractions(-20, 20, max_denominator=6),
+                               min_size=5, max_size=5))
+    def test_pre_and_post_order_rebuild_the_tree(self, tree, quantities):
+        pre = expr.traverse(tree, TraversalVariant.PRE_ORDER)
+        post = expr.traverse(tree, TraversalVariant.POST_ORDER)
+        rebuilt = [expr.tree_from_preorder(pre), expr.tree_from_postorder(post)]
+        assert rebuilt == [tree, tree]
+        try:
+            value = expr.evaluate(tree, quantities)
+        except DivisionByZero:
+            for other in rebuilt:
+                with pytest.raises(DivisionByZero):
+                    expr.evaluate(other, quantities)
+            return
+        assert isinstance(value, Fraction)
+        assert [expr.evaluate(other, quantities) for other in rebuilt] == [value] * 2

@@ -1,7 +1,9 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmtm import dataset, evaluate, model, train
 from mmtm.dataset import BOS, EOS, PAD, TaskExample
@@ -142,7 +144,7 @@ class TestDecodeStep:
 def attention(tape, kind):
     """The first row's (n_heads, n_queries, n_keys) attention weights of every
     `kind` sublayer (attn or cross) on a forward tape, in layer order."""
-    return [sub["attn"][0] for k, _, _, sub in tape["caches"] if k == kind]
+    return [sub["attn"][0][0] for k, _, _, sub in tape["caches"] if k == kind]
 
 
 class TestAttention:
@@ -576,3 +578,78 @@ class TestPaddingInvariance:
         for name in tables:
             assert params[name][PAD].tobytes() == before[name][PAD].tobytes(), name
             assert params[name].tobytes() != before[name].tobytes(), name
+
+
+# ---------------------------------------------------------------------------
+# the attention core's row blocks and the training tape
+# ---------------------------------------------------------------------------
+
+
+BLOCK_PARAMS = model.init_params(tiny_config(d_model=16, n_heads=4, n_enc_layers=2,
+                                             n_dec_layers=2, max_src_len=20, seed=14))
+
+
+class TestAttentionBlocks:
+    @settings(max_examples=60)
+    @given(lengths=st.lists(st.tuples(st.integers(1, 20), st.integers(2, 10)),
+                            min_size=1, max_size=6),
+           task=st.sampled_from(["pre", "in", "post"]),
+           block=st.sampled_from([1, 64, model.ATTN_BLOCK]),
+           seed=st.integers(0, 2**16))
+    def test_any_partition_matches_padded_path(self, lengths, task, block, seed):
+        src, tgt = random_batch(np.random.default_rng(seed), lengths)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "ATTN_BLOCK", block)
+            value, grads = model.loss_and_grads_batch(BLOCK_PARAMS, task, src, tgt)
+        ref_value, ref_grads = padded_loss_and_grads(BLOCK_PARAMS, task, src, tgt)
+        assert value == pytest.approx(ref_value, rel=1e-12, abs=0)
+        for name in BLOCK_PARAMS.tensors:
+            scale = np.abs(ref_grads[name]).max()
+            np.testing.assert_allclose(grads[name], ref_grads[name], rtol=1e-12,
+                                       atol=1e-12 * scale, err_msg=name)
+
+    def test_blocks_cover_rows_within_the_bound(self):
+        rng = np.random.default_rng(3)
+        lengths = [(int(s), 6) for s in rng.integers(1, 17, 9)]
+        src, _ = random_batch(rng, lengths)
+        pack = model._pack(src != PAD)
+        for bound in (1, 300, 2000, model.ATTN_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(model, "ATTN_BLOCK", bound)
+                blocks = model._layout(pack, pack, 4, np.float64)
+            stops = [q[1] for q, _, _ in blocks]  # consecutive runs of packed rows
+            assert [q[0] for q, _, _ in blocks] == [0] + stops[:-1]
+            assert stops[-1] == len(pack[0])
+            for q, k, mask in blocks:
+                assert q[2] == 1 or q[2] * 4 * q[3] * k[3] <= bound
+                assert (mask is None) == (k[4] is None)
+
+
+class TestTapeMemory:
+    def test_step_peak_and_tape_contents(self):
+        """One d128, 2+2-layer step with dropout on 16 sources of 40-128
+        tokens. The padded attention core, FFN pre-activations and float
+        dropout masks made this peak at 128 MB (numpy 2.4.6)."""
+        params = model.init_params(model.ModelConfig(
+            src_vocab_size=30, tgt_vocab_size=30, d_model=128, n_heads=4,
+            n_enc_layers=2, n_dec_layers=2, dropout=0.1, seed=1))
+        grads = model.zero_grads(params)
+        rng = np.random.default_rng(0)
+        lengths = list(zip(rng.integers(40, 129, 16), rng.integers(5, 21, 16)))
+        src, tgt = random_batch(rng, lengths, vocab=30)
+        tracemalloc.start()
+        try:
+            model.loss_and_grads_batch(params, "pre", src, tgt,
+                                       rng=np.random.default_rng(1), grads=grads)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 90e6, f"step peak {peak / 1e6:.1f} MB"
+        states, enc_tape = model.encode_batch(params, src, rng=np.random.default_rng(1))
+        _, dec_tape = model.decode_batch(params, "pre", states, enc_tape["mask"],
+                                         tgt[:, :-1], rng=np.random.default_rng(2))
+        caches = [sub for tape in (enc_tape, dec_tape)
+                  for _, _, _, sub in tape["caches"]]
+        ffn = [sub for sub in caches if "hid" in sub]
+        assert len(ffn) == 4 and not any("pre" in sub for sub in ffn)
+        assert all(sub["keep"].dtype == np.bool_ for sub in caches)
