@@ -88,8 +88,12 @@ def load(path: str | Path) -> TrainedModel:
     with open(path, "rb") as fh:
         if fh.read(4) != MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
+        file_size = os.fstat(fh.fileno()).st_size
         try:
             (hlen,) = struct.unpack("<Q", fh.read(8))
+            if hlen > file_size - 12:  # checked before reading: a bad length is huge
+                raise CheckpointError(f"{path}: header length {hlen} runs past the "
+                                      f"end of the file")
             header = json.loads(fh.read(hlen).decode("utf-8"))
             vocab = Vocab(header["src_vocab"][len(RESERVED):],
                           header["tgt_vocab"][len(RESERVED):])
@@ -106,13 +110,13 @@ def load(path: str | Path) -> TrainedModel:
                     f"vocabularies give, in {', '.join(wrong)}")
             flat = np.empty(sum(map(math.prod, shapes.values())),
                             dtype=expected["payload_dtype"])
-            size = os.fstat(fh.fileno()).st_size - fh.tell()
+            size = file_size - fh.tell()
             if size != flat.nbytes:
                 raise CheckpointError(f"{path}: payload is {size} bytes, the manifest "
                                       f"needs {flat.nbytes}")
             fh.readinto(flat)
             params = ParamStore(config, Arena(flat, shapes), tasks)
-        except (struct.error, KeyError, TypeError, ValueError, ModelError,
-                DatasetError) as exc:
+        except (struct.error, KeyError, TypeError, ValueError, RecursionError,
+                ModelError, DatasetError) as exc:
             raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
     return TrainedModel(params=params, vocab=vocab)

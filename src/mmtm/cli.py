@@ -90,7 +90,10 @@ def _write_manifest(out_dir: Path, command: str, args, inputs: dict,
 def _read_config_file(path: str, defaults: dict) -> dict:
     """The config file's values for the keys in `defaults`, each of the
     default's type (an int is accepted where the default is a float)."""
-    file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+    except RecursionError:
+        raise CliInputError(f"config file {path} nests too deeply") from None
     if not isinstance(file_cfg, dict):
         raise CliInputError(f"config file {path} must hold a JSON object")
     values = {k: file_cfg[k] for k in defaults if k in file_cfg}
@@ -118,13 +121,13 @@ def _resolve_config_plan(args):
             args.config, {**cfg, **{k: getattr(plan_defaults, k) for k in plan_keys}})
     cfg.update({k: file_cfg[k] for k in cfg if k in file_cfg})
     plan_kv = {k: file_cfg[k] for k in plan_keys if k in file_cfg}
-    if getattr(args, "dim", None):
+    if getattr(args, "dim", None) is not None:
         cfg["d_model"] = args.dim
-    if getattr(args, "layers", None):
+    if getattr(args, "layers", None) is not None:
         cfg["n_enc_layers"] = cfg["n_dec_layers"] = args.layers
-    if getattr(args, "heads", None):
+    if getattr(args, "heads", None) is not None:
         cfg["n_heads"] = args.heads
-    if getattr(args, "dtype", None):
+    if getattr(args, "dtype", None) is not None:
         cfg["dtype"] = args.dtype
     plan_kv.update({k: getattr(args, k) for k in plan_keys
                     if getattr(args, k, None) is not None})
@@ -201,6 +204,9 @@ def cmd_eval(args) -> int:
         raise CliInputError(f"checkpoint not found: {args.checkpoint}")
     trained = checkpoint.load(args.checkpoint)
     load = _load_corpus(args.test)
+    if load.quarantined:
+        print(f"warning: {len(load.quarantined)} test record(s) quarantined at load",
+              file=sys.stderr)
     report = evaluate.score(trained, load.records)
     if args.report:
         Path(args.report).write_text(report.to_json(), encoding="utf-8")
@@ -248,7 +254,7 @@ def cmd_sweep(args) -> int:
                     continue
                 cfg = dict(cfg_kv, d_model=dim, n_enc_layers=layers,
                            n_dec_layers=layers)
-                if dim % cfg["n_heads"] != 0:
+                if cfg["n_heads"] >= 1 and dim % cfg["n_heads"] != 0:
                     cfg["n_heads"] = 2 if dim % 2 == 0 else 1
                 config = model.ModelConfig(src_vocab_size=vocab.src_size,
                                            tgt_vocab_size=vocab.tgt_size, **cfg)

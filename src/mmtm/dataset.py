@@ -120,11 +120,14 @@ def make_record(raw: dict, line_no: int = 0) -> MwpRecord:
     except (ValueError, ZeroDivisionError) as e:
         raise MalformedRecord(f"line {line_no}: bad answer {answer!r}") from e
 
-    masked, quantities = extract_numbers(question)
+    try:
+        masked, quantities = extract_numbers(question)
+    except expr.ExprError as e:
+        raise MalformedRecord(f"line {line_no} ({rid}): bad question: {e}") from e
     if not tokenize(masked):
         raise MalformedRecord(f"line {line_no} ({rid}): question has no tokens")
-    aligned = _align_equation(equation, quantities)
     try:
+        aligned = _align_equation(equation, quantities)
         tree = expr.parse_infix(aligned, len(quantities))
         computed = expr.evaluate(tree, quantities)
     except expr.ExprError as e:
@@ -162,9 +165,9 @@ def load_corpus(path: str | Path) -> CorpusLoad:
             line = line.strip()
             if not line:
                 continue
-            try:
+            try:  # ValueError: not JSON, or an int past Python's 4300-digit limit
                 raw = json.loads(line)
-            except json.JSONDecodeError as e:
+            except (ValueError, RecursionError) as e:  # RecursionError: nested too deep
                 out.quarantined.append(
                     {"line": line_no, "id": None, "reason": f"bad json: {e}"}
                 )
@@ -172,9 +175,8 @@ def load_corpus(path: str | Path) -> CorpusLoad:
             try:
                 out.records.append(make_record(raw, line_no))
             except DatasetError as e:
-                out.quarantined.append(
-                    {"line": line_no, "id": raw.get("id"), "reason": str(e)}
-                )
+                rid = raw.get("id") if isinstance(raw, dict) else None
+                out.quarantined.append({"line": line_no, "id": rid, "reason": str(e)})
     return out
 
 

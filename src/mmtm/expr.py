@@ -17,6 +17,12 @@ OPERATORS = ("+", "-", "*", "/")
 
 _PLACEHOLDER_RE = re.compile(r"^number(\d+)$")
 _NUMBER_RE = re.compile(r"^\d+(?:\.\d+)?$")
+# Longest infix equation parse_infix accepts, in tokens: 128 operands joined
+# by 127 operators (a valid equation has an odd count). The parser recurses
+# three frames per parenthesis and the tree code one per level, so this keeps
+# the deepest input (127 parentheses, or 128 levels) far inside Python's
+# default recursion limit of 1000.
+MAX_EQUATION_TOKENS = 255
 
 
 class ExprError(Exception):
@@ -48,6 +54,14 @@ class TrailingTokens(ExprError):
 
 
 class DivisionByZero(ExprError):
+    pass
+
+
+class EquationTooLong(ExprError):
+    pass
+
+
+class NumberTooLong(ExprError):
     pass
 
 
@@ -122,19 +136,16 @@ def format_number(value: Fraction) -> str:
 
 def parse_number(token: str) -> Fraction:
     """Parse an unsigned decimal literal, allowing comma grouping ('1,000')."""
-    return Fraction(token.replace(",", ""))
+    try:
+        return Fraction(token.replace(",", ""))
+    except ValueError:  # more digits than Python converts to an int (4300)
+        raise NumberTooLong(f"a number of {len(token)} characters") from None
 
 
 def node_count(tree: ExprTree) -> int:
     if isinstance(tree, Leaf):
         return 1
     return 1 + node_count(tree.left) + node_count(tree.right)
-
-
-def depth(tree: ExprTree) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return 1 + max(depth(tree.left), depth(tree.right))
 
 
 def operators_of(tree: ExprTree) -> list[str]:
@@ -171,11 +182,14 @@ def parse_infix(equation: str, n_quantities: int) -> ExprTree:
     """Parse an infix equation over placeholders/constants into a tree.
 
     Standard precedence (*, / bind tighter than +, -), left associativity.
-    Every placeholder index must be < n_quantities.
+    Every placeholder index must be < n_quantities, and an equation has at
+    most MAX_EQUATION_TOKENS tokens.
     """
     tokens = _tokenize_infix(equation)
     if not tokens:
         raise EmptyExpression("empty equation")
+    if len(tokens) > MAX_EQUATION_TOKENS:
+        raise EquationTooLong(f"{len(tokens)} tokens, at most {MAX_EQUATION_TOKENS}")
     idx = 0
 
     def peek():

@@ -28,9 +28,11 @@ projections, FFN, dropout, output projection, loss, and their backward) runs
 on (N, d) rows, one per non-PAD position of the padded source and of the
 BOS-prefixed target input. The attention core (scores, softmax, context) runs
 on cache-sized blocks of consecutive batch rows, each padded only to its own
-longest row. The tape keeps the FFN's ReLU output and bool dropout masks. PAD
-gets no embedding gradient. Greedy decoding runs the same sublayers and core,
-one row per source and step, against cached attention keys and values.
+longest row (`_layout` gives `Block`s of a query and a key `Side`). The tape
+keeps the FFN's ReLU output and bool dropout masks. PAD gets no embedding
+gradient. The decoder stack, `_decoder_stack`, is written once: training runs
+it on a packed batch, and greedy decoding on one row per source and step,
+against cached attention keys and values.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ import ctypes
 import functools
 import math
 import os
+from collections import namedtuple
 from collections.abc import Mapping
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -128,20 +131,15 @@ class ModelConfig:
     def __post_init__(self):
         if self.d_ffn == 0:
             self.d_ffn = 4 * self.d_model
-        if self.d_model % self.n_heads != 0:
-            raise ShapeMismatch(
-                f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
-            )
         for name in ("src_vocab_size", "tgt_vocab_size", "d_model", "n_enc_layers",
                      "n_dec_layers", "n_heads", "d_ffn", "max_src_len", "max_tgt_len"):
             if getattr(self, name) < 1:
                 raise ShapeMismatch(f"{name} must be >= 1")
+        if self.d_model % self.n_heads != 0:  # after the range checks: n_heads >= 1
+            raise ShapeMismatch(f"d_model={self.d_model} not divisible by "
+                                f"n_heads={self.n_heads}")
         if self.dtype not in ("float64", "float32"):
             raise ShapeMismatch(f"unsupported dtype {self.dtype!r}")
-
-    @property
-    def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -191,8 +189,7 @@ class ParamStore:
         return self.tensors.flat
 
     def copy(self) -> "ParamStore":
-        return ParamStore(self.config, Arena(self.flat.copy(), self.tensors.shapes),
-                          self.tasks)
+        return replace(self, tensors=Arena(self.flat.copy(), self.tensors.shapes))
 
     def names(self, prefix: str = "") -> list[str]:
         return [n for n in self.tensors if n.startswith(prefix)]
@@ -269,7 +266,7 @@ def init_params(
     tasks = tuple(_variant(t) for t in tasks)
     shapes = param_shapes(config, tasks)
     params = ParamStore(config, Arena(np.zeros(sum(map(math.prod, shapes.values())),
-                                               dtype=config.np_dtype), shapes), tasks)
+                                               dtype=config.dtype), shapes), tasks)
     rng = np.random.default_rng(config.seed)
     t = params.tensors
     if embedding_init is not None and embedding_init.shape != shapes["src_embed"]:
@@ -309,9 +306,7 @@ def _sinusoid_table(length: int, d_model: int, dtype: np.dtype) -> np.ndarray:
     return pe
 
 
-# ---------------------------------------------------------------------------
-# primitive forward/backward pairs on packed (N, d) rows (caches are dicts)
-# ---------------------------------------------------------------------------
+# --- primitive forward/backward pairs on packed (N, d) rows (caches are dicts) ---
 
 
 def _ln_fwd(x, g, b):
@@ -347,64 +342,70 @@ def _dropout(x, keep, p):
     return x if keep is None else x * keep * (x.dtype.type(1) / (1.0 - p))
 
 
+# A (B, T) mask's packed layout: the flat indices of its True positions (one
+# packed row each, in order), its shape, per row the token count, and offsets:
+# row r packs to offs[r]:offs[r + 1].
+Pack = namedtuple("Pack", "rows shape lens offs")
+# One side of an attention block: packed rows start:stop, `n` batch rows padded
+# to `length`, and the real rows' flat indices among n * length (or None).
+Side = namedtuple("Side", "start stop n length idx")
+# An attention block: its query and key sides and additive score mask (or None).
+Block = namedtuple("Block", "q k mask")
+
+
 def _pack(mask):
-    """The packed layout of a (B, T) mask: the flat indices of its True
-    positions (a packed array has one row per index, in order), its shape,
-    per row the token count, and offsets: row r packs to offs[r]:offs[r + 1]."""
     lens = np.add.reduce(mask, 1)
-    return np.flatnonzero(mask), mask.shape, lens.tolist(), [0, *lens.cumsum().tolist()]
+    return Pack(np.flatnonzero(mask), mask.shape, lens.tolist(),
+                [0, *lens.cumsum().tolist()])
 
 
 def _embed(table, ids, pack):
     """Packed embedding rows plus sinusoidal position rows, and the packed ids."""
-    rows, (_, t_len) = pack[:2]
-    packed = ids.ravel()[rows]
-    pe = positional_encoding(t_len, table.shape[1], table.dtype)
-    return table[packed] + pe[rows % t_len], packed
+    packed = ids.ravel()[pack.rows]
+    pe = positional_encoding(pack.shape[1], table.shape[1], table.dtype)
+    return table[packed] + pe[pack.rows % len(pe)], packed
 
 
 def _layout(pack_q, pack_k, h, dtype, causal=False, limit=None):
     """Attention blocks: runs of consecutive batch rows with rows * h * Lq * Lk
     <= `limit` (ATTN_BLOCK), Lq and Lk their longest query and key rows (a
-    larger row is a block alone). A block is its query and key sides (start,
-    stop, rows, L, idx of the real rows among rows * L or None) and a mask."""
-    lq, lk, blocks, r0 = pack_q[2], pack_k[2], [], 0
+    larger row is a block alone)."""
+    lq, lk, blocks, r0 = pack_q.lens, pack_k.lens, [], 0
     for r1 in range(1, len(lq) + 1):
         size = (r1 + 1 - r0) * h * max(lq[r0:r1 + 1]) * max(lk[r0:r1 + 1])
         if r1 < len(lq) and size <= (ATTN_BLOCK if limit is None else limit):
             continue
         sides = []
-        for _, _, lens, offs in (pack_q, pack_k):
-            run = lens[r0:r1]
+        for pack in (pack_q, pack_k):
+            run = pack.lens[r0:r1]
             length, valid = max(max(run), 1), None
             if min(run) < length:
                 valid = np.arange(length) < np.array(run)[:, None]
-            sides.append((offs[r0], offs[r1], r1 - r0, length,
-                          None if valid is None else np.flatnonzero(valid)))
+            sides.append(Side(pack.offs[r0], pack.offs[r1], r1 - r0, length,
+                              None if valid is None else np.flatnonzero(valid)))
         (q, k), mask, r0 = sides, None, r1
         if causal:
-            mask = np.triu(np.full((q[3], k[3]), _NEG, dtype=dtype), 1)
-        elif k[4] is not None:  # valid is the key side's
+            mask = np.triu(np.full((q.length, k.length), _NEG, dtype=dtype), 1)
+        elif k.idx is not None:  # valid is the key side's
             mask = np.where(valid, 0.0, _NEG).astype(dtype)[:, None, None, :]
-        blocks.append((q, k, mask))
+        blocks.append(Block(q, k, mask))
     return blocks
 
 
 def _split(x, side, h):
     """A block side's packed rows of x as heads (rows, h, L, d/h), zero at
     padded positions: a view of x when no row is short."""
-    start, stop, n, length, idx = side
-    rows = x[start:stop]
-    if idx is not None:
-        rows = np.zeros((n * length, x.shape[1]), dtype=x.dtype)
-        rows[idx] = x[start:stop]
-    return rows.reshape(n, length, h, -1).transpose(0, 2, 1, 3)
+    rows = x[side.start:side.stop]
+    if side.idx is not None:
+        rows = np.zeros((side.n * side.length, x.shape[1]), dtype=x.dtype)
+        rows[side.idx] = x[side.start:side.stop]
+    return rows.reshape(side.n, side.length, h, -1).transpose(0, 2, 1, 3)
 
 
 def _merge(heads, side):
     """Heads (rows, h, L, d/h) -> the side's real packed rows."""
-    merged = heads.transpose(0, 2, 1, 3).reshape(side[2] * side[3], -1)
-    return merged if side[4] is None else merged[side[4]]
+    merged = heads.transpose(0, 2, 1, 3).reshape(side.n * side.length, -1)
+    return merged if side.idx is None else merged[side.idx]
 
 
 def _attention(q, k, v, blocks, h):
@@ -437,8 +438,8 @@ def _mha_fwd(params, name, x_q, x_kv, blocks, rng, past=None):
     else:
         k, v = x_kv @ t[f"{name}.wk"], x_kv @ t[f"{name}.wv"]
         if past is not None:
-            past[0][..., -1:, :] = _split(k, blocks[0][0], cfg.n_heads)  # a key each
-            past[1][..., -1:, :] = _split(v, blocks[0][0], cfg.n_heads)
+            past[0][..., -1:, :] = _split(k, blocks[0].q, cfg.n_heads)  # a key each
+            past[1][..., -1:, :] = _split(v, blocks[0].q, cfg.n_heads)
             k, v = past
     ctx, attn = _attention(q, k, v, blocks, cfg.n_heads)
     out, keep = _dropout_fwd(ctx @ t[f"{name}.wo"], cfg.dropout, rng)
@@ -459,12 +460,12 @@ def _mha_bwd(dout, cache, params, grads):
         qb, kb, vb, dctxb = (_split(x, side, h) for x, side in
                              ((q, qs), (k, ks), (v, ks), (dctx, qs)))
         dscores = np.matmul(dctxb, vb.transpose(0, 1, 3, 2))  # d attn, to d scores
-        dv[ks[0]:ks[1]] = _merge(np.matmul(attn.transpose(0, 1, 3, 2), dctxb), ks)
+        dv[ks.start:ks.stop] = _merge(np.matmul(attn.transpose(0, 1, 3, 2), dctxb), ks)
         dscores -= (dscores * attn).sum(-1, keepdims=True)
         dscores *= attn
         dscores *= scale
-        dq[qs[0]:qs[1]] = _merge(np.matmul(dscores, kb), qs)
-        dk[ks[0]:ks[1]] = _merge(np.matmul(dscores.transpose(0, 1, 3, 2), qb), ks)
+        dq[qs.start:qs.stop] = _merge(np.matmul(dscores, kb), qs)
+        dk[ks.start:ks.stop] = _merge(np.matmul(dscores.transpose(0, 1, 3, 2), qb), ks)
     grads[f"{name}.wq"] += cache["x_q"].T @ dq
     grads[f"{name}.wk"] += cache["x_kv"].T @ dk
     grads[f"{name}.wv"] += cache["x_kv"].T @ dv
@@ -512,9 +513,7 @@ def _sublayer_fwd(params, kind, name, ln, x, caches, rng, blocks=None, kv=None,
     return x + out
 
 
-# ---------------------------------------------------------------------------
-# encoder / decoder forward with tape, the loss, and the mirrored backward
-# ---------------------------------------------------------------------------
+# --- encoder / decoder forward with tape, the loss, and the mirrored backward ---
 
 
 def _check_ids(ids, vocab_size, max_len, what):
@@ -531,8 +530,7 @@ def _check_ids(ids, vocab_size, max_len, what):
 
 
 def _decoder_key(params: ParamStore, task) -> str:
-    task = _variant(task)
-    if task not in params.tasks:
+    if (task := _variant(task)) not in params.tasks:
         raise UnknownTask(f"decoder {task.value!r} not present in this ParamStore")
     return task.value
 
@@ -549,7 +547,7 @@ def encode_batch(params: ParamStore, src_ids, rng=None, keep_caches: bool = True
         raise EmptyInput("all-PAD source row")
     pack = _pack(mask)
     x, ids = _embed(params["src_embed"], src_ids, pack)
-    blocks = _layout(pack, pack, cfg.n_heads, cfg.np_dtype)
+    blocks = _layout(pack, pack, cfg.n_heads, cfg.dtype)
     caches = [] if keep_caches else None
     for i in range(cfg.n_enc_layers):
         x = _sublayer_fwd(params, "attn", f"enc.{i}.attn", f"enc.{i}.ln1", x, caches,
@@ -568,25 +566,34 @@ def decode_batch(params: ParamStore, task, states, src_mask, tgt_ids, rng=None):
     key = _decoder_key(params, task)
     tgt_ids = _check_ids(tgt_ids, cfg.tgt_vocab_size, cfg.max_tgt_len, "target")
     pack, src_pack = _pack(tgt_ids != PAD), _pack(np.asarray(src_mask))
-    if len(states) != len(src_pack[0]):
-        raise ShapeMismatch(f"{len(states)} state rows for {len(src_pack[0])} sources")
+    if len(states) != src_pack.offs[-1]:
+        raise ShapeMismatch(f"{len(states)} state rows for {src_pack.offs[-1]} sources")
     x, ids = _embed(params[f"dec.{key}.tgt_embed"], tgt_ids, pack)
-    self_blocks = _layout(pack, pack, cfg.n_heads, cfg.np_dtype, causal=True)
-    cross_blocks = _layout(pack, src_pack, cfg.n_heads, cfg.np_dtype)
-    caches = []
-    for i in range(cfg.n_dec_layers):
+    self_blocks = _layout(pack, pack, cfg.n_heads, cfg.dtype, causal=True)
+    cross_blocks = _layout(pack, src_pack, cfg.n_heads, cfg.dtype)
+    logits, tape = _decoder_stack(params, key, x, [], rng, self_blocks, cross_blocks,
+                                  states)
+    return logits, {"task": key, "ids": ids, **tape}
+
+
+def _decoder_stack(params, key, x, caches, rng, self_blocks, cross_blocks, states,
+                   pasts=None):
+    """Decoder `key`'s layers (self-attention, cross-attention over `states`,
+    FFN), final LayerNorm and output projection on packed rows x; returns the
+    logits and the tape. Greedy decoding passes `states` None and `pasts`:
+    per layer, a (self, cross) pair of cached split-head keys and values."""
+    layers = [(None, None)] * params.config.n_dec_layers if pasts is None else pasts
+    for i, (self_past, cross_past) in enumerate(layers):
         name = f"dec.{key}.{i}"
         x = _sublayer_fwd(params, "attn", f"{name}.self_attn", f"{name}.ln1", x, caches,
-                          rng, self_blocks)
+                          rng, self_blocks, past=self_past)
         x = _sublayer_fwd(params, "cross", f"{name}.cross_attn", f"{name}.ln2", x,
-                          caches, rng, cross_blocks, states)
+                          caches, rng, cross_blocks, states, cross_past)
         x = _sublayer_fwd(params, "ffn", f"{name}.ffn", f"{name}.ln3", x, caches, rng)
     normed, lnf_cache = _ln_fwd(x, params[f"dec.{key}.ln_f.g"],
                                 params[f"dec.{key}.ln_f.b"])
     logits = normed @ params[f"dec.{key}.out.w"] + params[f"dec.{key}.out.b"]
-    tape = {"task": key, "ids": ids, "caches": caches, "lnf": lnf_cache,
-            "normed": normed}
-    return logits, tape
+    return logits, {"caches": caches, "lnf": lnf_cache, "normed": normed}
 
 
 def zero_grads(params: ParamStore) -> Arena:
@@ -700,44 +707,37 @@ def _greedy_chunk(params, key, sources, limit, with_trace):
     """(ids, cross-attention or None) per source of one chunk. Each step runs
     the decoder sublayers on one (b, d) row per source."""
     cfg, t = params.config, params.tensors
-    dt, h, b = cfg.np_dtype, cfg.n_heads, len(sources)
+    dt, h, b = cfg.dtype, cfg.n_heads, len(sources)
     src = np.full((b, max(map(len, sources))), PAD, dtype=np.int64)
     for row, ids in enumerate(sources):
         src[row, :len(ids)] = ids
     states, enc_tape = encode_batch(params, src, keep_caches=False)
-    step = (np.arange(b), (b, 1), [1] * b, list(range(b + 1)))  # a query per source
+    step = Pack(rows=np.arange(b), shape=(b, 1), lens=[1] * b,
+                offs=list(range(b + 1)))  # a query per source
     self_blocks = _layout(step, step, h, dt, limit=math.inf)  # one block per chunk
     cross_blocks = _layout(step, enc_tape["pack"], h, dt, limit=math.inf)
     cross_kv = [[_split(states @ t[f"dec.{key}.{i}.cross_attn.{w}"],
-                        cross_blocks[0][1], h)
+                        cross_blocks[0].k, h)
                  for w in ("wk", "wv")] for i in range(cfg.n_dec_layers)]
     n_pos = limit + with_trace
     self_kv = np.empty((cfg.n_dec_layers, 2, b, h, n_pos, cfg.d_model // h), dtype=dt)
     pe = positional_encoding(n_pos, cfg.d_model, dt)
-    out_b = t[f"dec.{key}.out.b"].copy()
-    out_b[PAD] = -np.inf
     cross: list = []
     out: list[list[int]] = [[] for _ in range(b)]
     tokens = np.full(b, BOS)
     running = np.ones(b, dtype=bool)
     for pos in range(n_pos):
         x = t[f"dec.{key}.tgt_embed"][tokens] + pe[pos]
-        caches = []
-        for i in range(cfg.n_dec_layers):
-            name = f"dec.{key}.{i}"
-            x = _sublayer_fwd(params, "attn", f"{name}.self_attn", f"{name}.ln1", x,
-                              caches, None, self_blocks,
-                              past=self_kv[i, ..., :pos + 1, :])
-            x = _sublayer_fwd(params, "cross", f"{name}.cross_attn", f"{name}.ln2", x,
-                              caches, None, cross_blocks, past=cross_kv[i])
-            x = _sublayer_fwd(params, "ffn", f"{name}.ffn", f"{name}.ln3", x, caches,
-                              None)
+        pasts = zip(self_kv[..., :pos + 1, :], cross_kv)  # per layer
+        logits, tape = _decoder_stack(params, key, x, [], None, self_blocks,
+                                      cross_blocks, None, pasts)
         if with_trace:
-            cross.append([c[3]["attn"][0][:, :, 0] for c in caches if c[0] == "cross"])
+            cross.append([sub["attn"][0][:, :, 0]
+                          for kind, _, _, sub in tape["caches"] if kind == "cross"])
         if pos == limit:
             break
-        normed, _ = _ln_fwd(x, t[f"dec.{key}.ln_f.g"], t[f"dec.{key}.ln_f.b"])
-        tokens = (normed @ t[f"dec.{key}.out.w"] + out_b).argmax(-1)
+        logits[:, PAD] = -np.inf
+        tokens = logits.argmax(-1)
         running &= tokens != EOS
         if not running.any():
             break

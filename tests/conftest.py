@@ -47,6 +47,18 @@ def long_question_row(rid: str, n_tokens: int) -> dict:
     return row
 
 
+def oversized_equation_row(rid: str, shape: str) -> dict:
+    """A raw corpus row whose equation is past expr.MAX_EQUATION_TOKENS:
+    nested 331 parentheses deep ("nested") or a 1000-term + chain ("chain").
+    Either one raised RecursionError from make_record before the bound."""
+    if shape == "nested":
+        equation, answer = "(" * 331 + "5 + 3" + ")" * 331, 8
+    else:
+        equation, answer = " + ".join(["1"] * 1000), 1000
+    return {"id": rid, "question": "Dan had 5 pens , 3 cups and 1 hat .",
+            "equation": equation, "answer": answer}
+
+
 @pytest.fixture(scope="session")
 def corpus12():
     return make_records(12, seed=21)

@@ -3,6 +3,7 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmtm import checkpoint, dataset, model
 
@@ -179,3 +180,56 @@ class TestValidation:
         bad = rewrite(saved, tmp_path / "bad.mmtm", edit_header, edit_payload)
         with pytest.raises(checkpoint.CheckpointError):
             checkpoint.load(bad)
+
+
+@pytest.fixture(scope="module")
+def saved_blob(tmp_path_factory):
+    params, vocab = small_store()
+    path = tmp_path_factory.mktemp("ckpt") / "m.mmtm"
+    checkpoint.save(path, params, vocab)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def corrupt_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("corrupt") / "bad.mmtm"
+
+
+class TestCorruptFile:
+    @pytest.mark.parametrize("hlen", [2**62, 2**64 - 1, None],
+                             ids=["2^62", "2^64-1", "file-size-minus-11"])
+    def test_header_length_past_the_end_rejected(self, saved_blob, tmp_path, hlen):
+        """A length of 2^62 once raised MemoryError from reading the header."""
+        hlen = len(saved_blob) - 11 if hlen is None else hlen
+        bad = tmp_path / "bad.mmtm"
+        bad.write_bytes(saved_blob[:4] + struct.pack("<Q", hlen) + saved_blob[12:])
+        with pytest.raises(checkpoint.CheckpointError, match="runs past the end"):
+            checkpoint.load(bad)
+
+    @settings(max_examples=150)
+    @given(data=st.data())
+    def test_flips_and_truncations_raise_only_checkpoint_error(
+            self, saved_blob, corrupt_path, data):
+        """Flip 1-3 bits of the magic, the length or the header, or cut the
+        file short: load raises CheckpointError or nothing. A flip may leave a
+        header that save could have written (another seed, say), which loads;
+        a truncated file never does."""
+        blob = bytearray(saved_blob)
+        header_end = 12 + struct.unpack("<Q", saved_blob[4:12])[0]
+        truncate = data.draw(st.booleans(), label="truncate")
+        if truncate:
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="length")]
+        else:
+            # half the flips land in the 12 bytes of magic and length
+            where = st.integers(0, 11) | st.integers(12, header_end - 1)
+            flips = data.draw(st.lists(st.tuples(where, st.integers(0, 7)),
+                                       min_size=1, max_size=3, unique=True),
+                              label="flips")
+            for pos, bit in flips:
+                blob[pos] ^= 1 << bit
+        corrupt_path.write_bytes(blob)
+        try:
+            checkpoint.load(corrupt_path)
+        except checkpoint.CheckpointError:
+            return
+        assert not truncate, "a truncated checkpoint loaded"

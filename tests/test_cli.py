@@ -6,7 +6,7 @@ import pytest
 
 from mmtm import cli, dataset, model, pca_init, synth
 from mmtm.pca_init import PretrainedEmbeddings
-from conftest import long_question_row
+from conftest import long_question_row, oversized_equation_row
 
 
 @pytest.fixture(scope="module")
@@ -144,6 +144,54 @@ class TestTrain:
                        "--dim", "30"])
         assert rc == 2
         assert "not divisible by n_heads=4" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, field", [
+        ("--dim", "d_model"), ("--layers", "n_enc_layers"), ("--heads", "n_heads")])
+    def test_zero_shape_flag_exit_2(self, corpus_path, tmp_path, capsys, flag, field):
+        """A zero flag was once dropped as falsy, so the run trained the default."""
+        rc = cli.main(["train", "--corpus", str(corpus_path)]
+                      + fast_train_flags(tmp_path) + [flag, "0"])
+        assert rc == 2
+        assert f"{field} must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "checkpoint_final.mmtm").exists()
+
+    def test_zero_heads_in_config_file_exit_2(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n_heads": 0}))
+        rc = cli.main(["train", "--corpus", str(corpus_path), "--config", str(cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "n_heads must be >= 1" in capsys.readouterr().err
+
+    def test_deeply_nested_config_file_exit_2(self, corpus_path, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[" * 100_000 + "]" * 100_000)
+        rc = cli.main(["train", "--corpus", str(corpus_path), "--config", str(cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "nests too deeply" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("shape", ["nested", "chain"])
+    def test_oversized_equation_quarantined(self, tmp_path, capsys, shape):
+        """One oversized equation in a 20-record corpus: augment, train and
+        eval exit 0 and report it, where load once raised RecursionError."""
+        corpus = tmp_path / "c.jsonl"
+        synth.write_corpus(corpus, synth.generate_raw(19, seed=34)
+                           + [oversized_equation_row("big", shape)])
+        assert cli.main(["augment", "--corpus", str(corpus),
+                         "--out", str(tmp_path / "aug")]) == 0
+        quarantine = (tmp_path / "aug" / "quarantine.jsonl").read_text().splitlines()
+        assert [json.loads(line)["id"] for line in quarantine] == ["big"]
+        assert "1 record(s) quarantined" in capsys.readouterr().err
+        assert cli.main(["train", "--corpus", str(corpus), "--no-pretrain"]
+                        + fast_train_flags(tmp_path / "o")) == 0
+        captured = capsys.readouterr()
+        assert "1 record(s) quarantined at load" in captured.err
+        assert "trained on 19 records" in captured.out
+        assert cli.main(["eval", "--checkpoint",
+                         str(tmp_path / "o" / "checkpoint_final.mmtm"),
+                         "--test", str(corpus)]) == 0
+        assert "1 test record(s) quarantined at load" in capsys.readouterr().err
 
     def test_zero_batch_size_exit_2(self, corpus_path, tmp_path, capsys):
         rc = cli.main(["train", "--corpus", str(corpus_path)]
@@ -308,6 +356,13 @@ class TestSweep:
         assert exc.value.code == 2
         assert f"argument {flag}" in capsys.readouterr().err
         assert not (tmp_path / "sweep").exists()
+
+    def test_zero_heads_exit_2(self, corpus_path, test_path, tmp_path, capsys):
+        rc = cli.main(["sweep", "--corpus", str(corpus_path), "--test", str(test_path),
+                       "--out", str(tmp_path / "sweep"), "--dims", "8",
+                       "--heads", "0", "--finetune-epochs", "1"])
+        assert rc == 2
+        assert "n_heads must be >= 1" in capsys.readouterr().err
 
     def test_grid_and_resume(self, corpus_path, test_path, tmp_path):
         emb_path = tmp_path / "emb.tsv"

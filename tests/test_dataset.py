@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 
-from mmtm import dataset, expr
+from mmtm import dataset, expr, synth
 from mmtm.dataset import PAD, BOS, EOS, UNK
 from mmtm.expr import TraversalVariant
-from conftest import make_records
+from conftest import make_records, oversized_equation_row
 
 
 class TestExtractNumbers:
@@ -212,3 +212,44 @@ class TestAugment:
                                      tmp_path / "b")
         for variant in TraversalVariant:
             assert a[variant].read_bytes() == b[variant].read_bytes()
+
+
+class TestOversizedInput:
+    @pytest.mark.parametrize("shape", ["nested", "chain"])
+    def test_oversized_equation_is_malformed(self, shape):
+        with pytest.raises(dataset.MalformedRecord,
+                           match=r"bad equation: \d+ tokens, at most 255"):
+            dataset.make_record(oversized_equation_row("big", shape))
+
+    def test_corpus_loads_around_oversized_equations(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        synth.write_corpus(path, synth.generate_raw(18, seed=3)
+                           + [oversized_equation_row("nested", "nested"),
+                              oversized_equation_row("chain", "chain")])
+        load = dataset.load_corpus(path)
+        assert len(load.records) == 18
+        assert [q["id"] for q in load.quarantined] == ["nested", "chain"]
+        assert all("at most 255" in q["reason"] for q in load.quarantined)
+
+    @pytest.mark.parametrize("field, where", [("question", "bad question"),
+                                              ("equation", "bad equation")])
+    def test_number_past_the_int_digit_limit_is_malformed(self, field, where):
+        """Python converts at most 4300 digits to an int; one more digit in a
+        record once raised ValueError out of load_corpus."""
+        raw = {"id": "big", "question": "had 5 pens and 3 more",
+               "equation": "number0 + number1", "answer": 8}
+        raw[field] += " + " + "1" * 5000
+        with pytest.raises(dataset.MalformedRecord,
+                           match=f"{where}: a number of 5000 characters"):
+            dataset.make_record(raw)
+
+    def test_non_object_deep_and_huge_int_lines_quarantined(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        good = synth.generate_raw(1, seed=4)[0]
+        path.write_text("[1, 2]\n\"text\"\n7\n" + "[" * 100_000 + "]" * 100_000
+                        + '\n{"id": "x", "answer": ' + "1" * 5000 + "}\n"
+                        + json.dumps(good) + "\n", encoding="utf-8")
+        load = dataset.load_corpus(path)
+        assert [r.id for r in load.records] == [good["id"]]
+        assert [(q["line"], q["id"]) for q in load.quarantined] == \
+            [(1, None), (2, None), (3, None), (4, None), (5, None)]

@@ -208,3 +208,28 @@ class TestTraversalProperties:
             return
         assert isinstance(value, Fraction)
         assert [expr.evaluate(other, quantities) for other in rebuilt] == [value] * 2
+
+
+class TestEquationBound:
+    """parse_infix rejects more than MAX_EQUATION_TOKENS tokens, so no corpus
+    equation reaches Python's recursion limit in the recursive tree code."""
+
+    def test_longest_chain_at_the_bound_parses(self):
+        tree = expr.parse_infix(" + ".join(["number0"] * 128), 1)  # 255 tokens
+        assert expr.evaluate(tree, [Fraction(2)]) == 256
+        assert len(expr.traverse(tree, TraversalVariant.POST_ORDER)) == \
+            expr.MAX_EQUATION_TOKENS
+
+    def test_deepest_nesting_at_the_bound_parses(self):
+        equation = "( " * 127 + "number0" + " )" * 127  # 255 tokens
+        assert expr.parse_infix(equation, 1) == Leaf(Placeholder(0))
+
+    @pytest.mark.parametrize("equation", [
+        "( " * 331 + "number0 + number1" + " )" * 331,
+        " + ".join(["number0"] * 1000),
+        " + ".join(["number0"] * 129),  # 257 tokens, one operand past the bound
+        "( " * 128 + "number0" + " )" * 128,
+    ], ids=["nested-331", "chain-1000", "chain-129", "nested-128"])
+    def test_over_the_bound_rejected(self, equation):
+        with pytest.raises(expr.EquationTooLong, match="at most 255"):
+            expr.parse_infix(equation, 2)

@@ -29,6 +29,14 @@ class TestConfig:
     def test_dim62_needs_two_heads(self):
         assert tiny_config(d_model=62, n_heads=2).d_model == 62
 
+    @pytest.mark.parametrize("field", ["n_heads", "d_model", "n_enc_layers",
+                                       "n_dec_layers", "max_tgt_len"])
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_shape_below_one_is_a_shape_mismatch(self, field, value):
+        """n_heads=0 once raised ZeroDivisionError from the divisibility check."""
+        with pytest.raises(model.ShapeMismatch, match=f"{field} must be >= 1"):
+            tiny_config(**{field: value})
+
 
 class TestInitParams:
     def test_same_seed_identical(self):
