@@ -207,16 +207,16 @@ def cmd_eval(args) -> int:
     if load.quarantined:
         print(f"warning: {len(load.quarantined)} test record(s) quarantined at load",
               file=sys.stderr)
-    report = evaluate.score(trained, load.records)
+    trace = [] if args.attention_out else None
+    report = evaluate.score(trained, load.records, cross_trace=trace)
     if args.report:
         Path(args.report).write_text(report.to_json(), encoding="utf-8")
     if args.attention_out:
-        att_dir = Path(args.attention_out)
-        att_dir.mkdir(parents=True, exist_ok=True)
-        for record, verdict in zip(load.records, report.verdicts):
-            if verdict.failure_reason != evaluate.INPUT_TOO_LONG:
-                evaluate.export_attention(trained, record,
-                                          path=att_dir / f"{record.id}.json")
+        Path(args.attention_out).mkdir(parents=True, exist_ok=True)
+        for record, verdict, cross in zip(load.records, report.verdicts, trace):
+            if cross is not None:  # None: too long to decode
+                path = Path(args.attention_out, f"{record.id}.json")
+                evaluate.attention_report(record, verdict, cross, path)
     print(report.render_table())
     return EXIT_OK
 
@@ -322,7 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="write the EvalReport JSON here")
     p.add_argument("--attention-out", dest="attention_out",
                    help="directory for per-record attention JSON")
-    p.add_argument("--seed", type=int, default=None)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("sweep", help="accuracy grid over (dim, layers, init)")

@@ -104,6 +104,13 @@ def _align_equation(equation: str, quantities: list[Fraction]) -> str:
     return _NUMBER_IN_TEXT_RE.sub(repl, equation)
 
 
+def _shown(value: Fraction) -> str:
+    try:
+        return expr.format_number(value)
+    except expr.NumberTooLong as e:
+        return str(e)
+
+
 def make_record(raw: dict, line_no: int = 0) -> MwpRecord:
     """Validate one raw corpus object; raises MalformedRecord/AnswerMismatch."""
     try:
@@ -134,8 +141,8 @@ def make_record(raw: dict, line_no: int = 0) -> MwpRecord:
         raise MalformedRecord(f"line {line_no} ({rid}): bad equation: {e}") from e
     if computed != answer:
         raise AnswerMismatch(
-            f"{rid}: equation evaluates to {expr.format_number(computed)}, "
-            f"gold answer is {expr.format_number(answer)}"
+            f"{rid}: equation evaluates to {_shown(computed)}, "
+            f"gold answer is {_shown(answer)}"
         )
     ops = expr.operators_of(tree)
     return MwpRecord(

@@ -6,8 +6,8 @@ into a tree whose evaluation matches the gold answer within a relative
 tolerance of 1e-4 (floored at absolute 1e-4). Decoding is batched and cached:
 `score` hands every record to one `model.greedy_decode` call, which encodes
 `model.DECODE_CHUNK` questions at a time and grows each label one position
-per step against cached attention keys and values. `export_attention` does
-not reuse that pass: it decodes its record again, alone (ROADMAP item 3).
+per step against cached attention keys and values. Given a `cross_trace`,
+that pass also keeps the cross-attention that `--attention-out` writes.
 
 Every miss carries a failure reason: `input_too_long` (the question exceeds
 the model's `max_src_len` and is never decoded), `decode_malformed` (the
@@ -32,7 +32,6 @@ from .dataset import BOS, MwpRecord, tokenize
 from .expr import TraversalVariant
 
 ANSWER_RTOL = Fraction(1, 10000)
-INPUT_TOO_LONG = "input_too_long"
 
 COHORT_ROWS = ("Full Set", "One-Op", "Two-Op", "ADD", "SUB", "MUL", "DIV")
 _OP_COHORTS = {"ADD": "+", "SUB": "-", "MUL": "*", "DIV": "/"}
@@ -50,7 +49,7 @@ class Verdict:
     record_id: str
     predicted_tokens: list[str]
     reconstructed_ok: bool
-    predicted_answer: Optional[str]
+    predicted_answer: Optional[str]  # None if not evaluated or past 4300 digits
     correct: bool
     # input_too_long | decode_malformed | eval_error | wrong_answer
     failure_reason: Optional[str]
@@ -95,13 +94,6 @@ def answers_match(predicted: Fraction, gold: Fraction) -> bool:
     return abs(predicted - gold) <= tol
 
 
-def _decode(trained: TrainedModel, task: TraversalVariant, sources: list[list[int]],
-            cross_trace: Optional[list] = None) -> list[list[int]]:
-    return model.greedy_decode(trained.params, task, sources,
-                               max_len=trained.config.max_tgt_len - 2,
-                               cross_trace=cross_trace)
-
-
 def _judge(vocab, record: MwpRecord, ids: list[int]) -> Verdict:
     """Rebuild and evaluate one decoded pre-order label."""
     tokens = vocab.decode_tgt([BOS] + ids)
@@ -114,27 +106,35 @@ def _judge(vocab, record: MwpRecord, ids: list[int]) -> Verdict:
     except expr.ExprError:
         return Verdict(record.id, tokens, True, None, False, "eval_error")
     ok = answers_match(answer, record.answer)
-    return Verdict(record.id, tokens, True, expr.format_number(answer), ok,
-                   None if ok else "wrong_answer")
+    try:
+        shown = expr.format_number(answer)
+    except expr.NumberTooLong:  # too many digits to write; `ok` judged the value
+        shown = None
+    return Verdict(record.id, tokens, True, shown, ok, None if ok else "wrong_answer")
 
 
-def _predict(trained: TrainedModel, records: list[MwpRecord]) -> list[Verdict]:
-    """One verdict per record, in order. Questions longer than max_src_len
-    get an input_too_long verdict and never reach the encoder."""
-    vocab = trained.vocab
+def _predict(trained: TrainedModel, records: list[MwpRecord],
+             cross_trace: Optional[list] = None) -> list[Verdict]:
+    """One verdict per record, in order, and in `cross_trace` its decode trace.
+    A question over max_src_len is not decoded: input_too_long, trace None."""
+    vocab, cfg = trained.vocab, trained.config
     sources = [vocab.encode_src(tokenize(r.masked_question)) for r in records]
-    fits = [i for i, src in enumerate(sources)
-            if len(src) <= trained.config.max_src_len]
-    decoded = dict(zip(fits, _decode(trained, TraversalVariant.PRE_ORDER,
-                                     [sources[i] for i in fits])))
+    fits = [i for i, src in enumerate(sources) if len(src) <= cfg.max_src_len]
+    trace = None if cross_trace is None else []
+    decoded = dict(zip(fits, model.greedy_decode(
+        trained.params, TraversalVariant.PRE_ORDER, [sources[i] for i in fits],
+        max_len=cfg.max_tgt_len - 2, cross_trace=trace)))
+    if trace is not None:
+        cross_trace += map(dict(zip(fits, trace)).get, range(len(records)))
     return [_judge(vocab, record, decoded[i]) if i in decoded
-            else Verdict(record.id, [], False, None, False, INPUT_TOO_LONG)
+            else Verdict(record.id, [], False, None, False, "input_too_long")
             for i, record in enumerate(records)]
 
 
-def score(trained: TrainedModel, records: list[MwpRecord]) -> EvalReport:
+def score(trained: TrainedModel, records: list[MwpRecord],
+          cross_trace: Optional[list] = None) -> EvalReport:
     """Answer accuracy over records plus one-op/two-op and operator cohorts."""
-    verdicts = _predict(trained, records)
+    verdicts = _predict(trained, records, cross_trace)
     cohorts = {row: {"count": 0, "correct": 0} for row in COHORT_ROWS}
     for record, verdict in zip(records, verdicts):
         rows = ["Full Set"]
@@ -171,26 +171,29 @@ def compare_models(report_a: EvalReport, report_b: EvalReport) -> dict:
     return {"per_record": per_record, "counts": counts}
 
 
-def export_attention(trained: TrainedModel, record: MwpRecord,
+def attention_report(record: MwpRecord, verdict: Verdict, cross: np.ndarray,
                      path: Optional[str | Path] = None) -> dict:
-    """Aggregate cross-attention mass each source token received over a full
-    greedy pre-order decode of this record alone (mean over layers and heads,
-    summed over decode steps). The steps are BOS and every predicted token, so
-    the weights sum to `decode_steps`; label and weights come from one decode."""
-    vocab = trained.vocab
-    tokens = tokenize(record.masked_question)
-    trace: list[np.ndarray] = []
-    [ids] = _decode(trained, TraversalVariant.PRE_ORDER, [vocab.encode_src(tokens)],
-                    cross_trace=trace)
-    per_token = trace[0].mean(axis=(0, 1)).sum(axis=0)  # (layers, heads, steps, src)
+    """One record's attention export, written to `path` if given: the mass each
+    source token got in `cross` (layers, heads, steps, source), mean over layers
+    and heads, summed over the steps: BOS and every predicted token."""
     report = {
         "record_id": record.id,
-        "tokens": tokens,
-        "weights": [float(w) for w in per_token],
-        "decode_steps": len(ids) + 1,
-        "predicted_label": vocab.decode_tgt([BOS] + ids),
+        "tokens": tokenize(record.masked_question),
+        "weights": [float(w) for w in cross.mean(axis=(0, 1)).sum(axis=0)],
+        "decode_steps": cross.shape[2],
+        "predicted_label": verdict.predicted_tokens,
     }
     if path is not None:
         Path(path).write_text(json.dumps(report, indent=2, sort_keys=True),
                               encoding="utf-8")
     return report
+
+
+def export_attention(trained: TrainedModel, record: MwpRecord,
+                     path: Optional[str | Path] = None) -> dict:
+    """`attention_report` of this record decoded alone; SequenceTooLong if too long."""
+    trace: list = []
+    [verdict] = _predict(trained, [record], trace)
+    if trace[0] is None:
+        raise model.SequenceTooLong(f"{record.id}: question over max_src_len")
+    return attention_report(record, verdict, trace[0], path)

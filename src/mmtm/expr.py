@@ -112,7 +112,15 @@ ExprTree = Union[Leaf, Node]
 
 
 def format_number(value: Fraction) -> str:
-    """Shortest decimal rendering of a rational; falls back to a/b form."""
+    """Shortest decimal rendering of a rational; falls back to a/b form.
+    Raises NumberTooLong past the digits Python writes for an int (4300)."""
+    try:
+        return _format_number(value)
+    except ValueError:
+        raise NumberTooLong("a number of more than 4300 digits") from None
+
+
+def _format_number(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value.numerator)
     den = value.denominator

@@ -265,8 +265,14 @@ def init_params(
     pretrained vectors). LayerNorm gains start at 1 and biases at 0."""
     tasks = tuple(_variant(t) for t in tasks)
     shapes = param_shapes(config, tasks)
-    params = ParamStore(config, Arena(np.zeros(sum(map(math.prod, shapes.values())),
-                                               dtype=config.dtype), shapes), tasks)
+    size = sum(map(math.prod, shapes.values()))
+    try:
+        flat = np.zeros(size, dtype=config.dtype)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+        gib = size * np.dtype(config.dtype).itemsize / 2**30
+        raise ShapeMismatch(f"a parameter arena of {size} values ({gib:.1f} GiB) "
+                            "cannot be allocated") from None
+    params = ParamStore(config, Arena(flat, shapes), tasks)
     rng = np.random.default_rng(config.seed)
     t = params.tensors
     if embedding_init is not None and embedding_init.shape != shapes["src_embed"]:

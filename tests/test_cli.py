@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from mmtm import cli, dataset, model, pca_init, synth
+from mmtm import checkpoint, cli, dataset, evaluate, model, pca_init, synth
 from mmtm.pca_init import PretrainedEmbeddings
 from conftest import long_question_row, oversized_equation_row
 
@@ -193,6 +194,13 @@ class TestTrain:
                          "--test", str(corpus)]) == 0
         assert "1 test record(s) quarantined at load" in capsys.readouterr().err
 
+    def test_arena_past_the_address_space_exit_2(self, corpus_path, tmp_path, capsys):
+        """A 437 TiB parameter arena once ended in numpy's _ArrayMemoryError."""
+        rc = cli.main(["train", "--corpus", str(corpus_path), "--dim", "1000000",
+                       "--heads", "1", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "GiB) cannot be allocated" in capsys.readouterr().err
+
     def test_zero_batch_size_exit_2(self, corpus_path, tmp_path, capsys):
         rc = cli.main(["train", "--corpus", str(corpus_path)]
                       + fast_train_flags(tmp_path) + ["--batch-size", "0"])
@@ -342,6 +350,58 @@ class TestEval:
                        str(test_path)])
         assert rc == 3
         assert "payload is" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def single_pass_eval(trained_dir, tmp_path_factory):
+    """`mmtm eval --report --attention-out` on 40 records and one question
+    over max_src_len, with its `model.encode_batch` calls counted."""
+    out = tmp_path_factory.mktemp("single_pass")
+    test = out / "test.jsonl"
+    synth.write_corpus(test, synth.generate_raw(40, seed=33)
+                       + [long_question_row("long-q", 225)])
+    encode, calls = model.encode_batch, []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return encode(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "encode_batch", counted)
+        rc = cli.main(["eval", "--checkpoint",
+                       str(trained_dir / "checkpoint_final.mmtm"),
+                       "--test", str(test), "--report", str(out / "report.json"),
+                       "--attention-out", str(out / "att")])
+    assert rc == 0
+    trained = checkpoint.load(trained_dir / "checkpoint_final.mmtm")
+    return trained, dataset.load_corpus(test).records, out, len(calls)
+
+
+class TestEvalSinglePass:
+    """`mmtm eval` decodes once: the report and every attention file come
+    from one scoring pass."""
+
+    def test_report_is_byte_identical_to_score(self, single_pass_eval):
+        trained, records, out, _ = single_pass_eval
+        assert (out / "report.json").read_text(encoding="utf-8") == \
+            evaluate.score(trained, records).to_json()
+
+    def test_attention_files_match_export_attention(self, single_pass_eval):
+        trained, records, out, _ = single_pass_eval
+        for record in records[:-1]:
+            written = json.loads((out / "att" / f"{record.id}.json").read_text())
+            alone = evaluate.export_attention(trained, record)
+            for key in ("record_id", "predicted_label", "decode_steps", "tokens"):
+                assert written[key] == alone[key]
+            np.testing.assert_allclose(written["weights"], alone["weights"],
+                                       rtol=0, atol=1e-12)
+
+    def test_overlength_record_no_file_and_one_encode_per_chunk(self, single_pass_eval):
+        trained, records, out, encode_calls = single_pass_eval
+        assert records[-1].id == "long-q" and len(records) == 41
+        assert sorted(p.stem for p in (out / "att").glob("*.json")) == \
+            sorted(r.id for r in records[:-1])
+        assert encode_calls == math.ceil(40 / model.DECODE_CHUNK) == 2
 
 
 class TestSweep:

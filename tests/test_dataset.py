@@ -2,6 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmtm import dataset, expr, synth
 from mmtm.dataset import PAD, BOS, EOS, UNK
@@ -243,6 +244,23 @@ class TestOversizedInput:
                            match=f"{where}: a number of 5000 characters"):
             dataset.make_record(raw)
 
+    def test_computed_value_past_the_int_digit_limit_is_quarantined(self, tmp_path):
+        """( 9...9 ) * ( 9...9 ) of two 3000-digit constants is 6000 digits,
+        more than Python writes. Building the AnswerMismatch message raised
+        ValueError, and load_corpus lost every record."""
+        nines = "9" * 3000
+        raw = {"id": "huge", "question": "had 5 pens and 3 more",
+               "equation": f"( {nines} ) * ( {nines} )", "answer": 1}
+        with pytest.raises(dataset.AnswerMismatch,
+                           match="evaluates to a number of more than 4300 digits, "
+                                 "gold answer is 1$"):
+            dataset.make_record(raw)
+        path = tmp_path / "c.jsonl"
+        synth.write_corpus(path, synth.generate_raw(3, seed=4) + [raw])
+        load = dataset.load_corpus(path)
+        assert len(load.records) == 3
+        assert [q["id"] for q in load.quarantined] == ["huge"]
+
     def test_non_object_deep_and_huge_int_lines_quarantined(self, tmp_path):
         path = tmp_path / "c.jsonl"
         good = synth.generate_raw(1, seed=4)[0]
@@ -253,3 +271,57 @@ class TestOversizedInput:
         assert [r.id for r in load.records] == [good["id"]]
         assert [(q["line"], q["id"]) for q in load.quarantined] == \
             [(1, None), (2, None), (3, None), (4, None), (5, None)]
+
+
+def _record_line(**fields) -> str:
+    raw = {"id": "junk", "question": "Dan had 5 pens and 3 more .",
+           "equation": "number0 + number1", "answer": 8}
+    return json.dumps({**raw, **fields})
+
+
+_JUNK_LINES = st.one_of(
+    # JSON that is not an object
+    st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans(), st.none(),
+              st.text(max_size=20), st.lists(st.integers(), max_size=5)
+              ).map(json.dumps),
+    # text that is not JSON
+    st.text(st.characters(exclude_characters="\r\n"), min_size=1, max_size=40)
+    .filter(lambda s: s.strip()),
+    # JSON nested past the parser's recursion limit, bare or inside a record
+    st.builds(lambda n, wrap: wrap.replace("X", "[" * n + "]" * n),
+              st.integers(1_000, 20_000),
+              st.sampled_from(["X", '{"id": "deep", "question": X}'])),
+    # equations past expr.MAX_EQUATION_TOKENS: long chains and deep parentheses
+    st.integers(129, 2_000).map(
+        lambda k: _record_line(equation=" + ".join(["1"] * k), answer=k)),
+    st.integers(128, 1_000).map(
+        lambda k: _record_line(equation="(" * k + "5 + 3" + ")" * k)),
+    # ints past Python's 4300-digit limit: a JSON answer, a question number, a
+    # constant, and a computed value
+    st.integers(4_301, 6_000).map(lambda k: '{"id": "i", "answer": ' + "1" * k + "}"),
+    st.integers(4_301, 6_000).map(
+        lambda k: _record_line(question=f"Dan had {'7' * k} pens and 3 more .")),
+    st.integers(4_301, 6_000).map(
+        lambda k: _record_line(equation=f"number0 + {'7' * k}")),
+    st.integers(2_200, 4_000).map(
+        lambda k: _record_line(equation=f"( {'9' * k} ) * ( {'9' * k} )", answer=1)),
+)
+
+
+class TestJunkLines:
+    GOOD = synth.generate_raw(3, seed=5)
+
+    @settings(max_examples=150)
+    @given(junk=st.lists(_JUNK_LINES, min_size=1, max_size=4), data=st.data())
+    def test_every_junk_line_is_quarantined(self, tmp_path_factory, junk, data):
+        """Whatever the bad lines are, load_corpus keeps every good record and
+        quarantines each bad line by its line number, without raising."""
+        good = [json.dumps(row) for row in self.GOOD]
+        lines = data.draw(st.permutations(good + junk))
+        path = tmp_path_factory.mktemp("junk") / "c.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        load = dataset.load_corpus(path)
+        assert [r.id for r in load.records] == \
+            [json.loads(line)["id"] for line in lines if line in good]
+        assert [q["line"] for q in load.quarantined] == \
+            [no for no, line in enumerate(lines, 1) if line not in good]

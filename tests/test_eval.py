@@ -3,7 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mmtm import dataset, evaluate, expr, synth
+from mmtm import dataset, evaluate, expr, model, synth
 from mmtm.evaluate import EvalReport, Verdict
 from conftest import long_question_row
 
@@ -52,6 +52,20 @@ class TestPredictAnswer:
         verdict = evaluate.score(memorized, [broken]).verdicts[0]
         assert not verdict.correct
         assert verdict.failure_reason in ("eval_error", "decode_malformed")
+
+
+    def test_prediction_past_the_int_digit_limit_gets_a_verdict(self):
+        """number0 * number0 of a 3000-digit quantity is 6000 digits, more than
+        Python writes: the verdict has no answer text, where judging raised
+        ValueError before."""
+        big = int("9" * 3000)
+        record = dataset.make_record({"id": "huge", "question": f"had {big} pens",
+                                      "equation": "number0 * 3", "answer": 3 * big})
+        vocab = dataset.build_vocab([record])
+        ids = [vocab.tgt_stoi[t] for t in ("*", "number0", "number0")]
+        verdict = evaluate._judge(vocab, record, ids)
+        assert verdict == Verdict("huge", ["*", "number0", "number0"], True, None,
+                                  False, "wrong_answer")
 
 
 class TestScore:
@@ -162,6 +176,11 @@ class TestExportAttention:
         assert report["tokens"] == dataset.tokenize(
             corpus12[0].masked_question)
         assert len(report["weights"]) == len(report["tokens"])
+
+    def test_overlength_record_raises(self, memorized):
+        long_record = dataset.make_record(long_question_row("long-q", 225))
+        with pytest.raises(model.SequenceTooLong, match="long-q"):
+            evaluate.export_attention(memorized, long_record)
 
     def test_predicted_label_is_token_list(self, memorized, corpus12):
         report = evaluate.export_attention(memorized, corpus12[0])

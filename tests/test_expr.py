@@ -180,6 +180,13 @@ class TestFormatNumber:
     def test_rendering(self, value, expected):
         assert expr.format_number(value) == expected
 
+    @pytest.mark.parametrize("value", [Fraction(10**4300), Fraction(1, 2**15000)])
+    def test_past_the_int_digit_limit_is_number_too_long(self, value):
+        """Python writes at most 4300 digits of an int; past that this raised
+        ValueError, which no caller expected."""
+        with pytest.raises(expr.NumberTooLong, match="more than 4300 digits"):
+            expr.format_number(value)
+
 
 _LEAVES = st.one_of(
     st.builds(lambda i: Leaf(Placeholder(i)), st.integers(0, 4)),

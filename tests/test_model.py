@@ -39,6 +39,17 @@ class TestConfig:
 
 
 class TestInitParams:
+    @pytest.mark.parametrize("d_model, size", [(10**6, r"60000\d{9}"),
+                                               (10**10, r"60000\d{17}")])
+    def test_arena_past_the_address_space_is_a_shape_mismatch(self, d_model, size):
+        """d_model 10^6 asks for a 437 TiB arena, more than the 128 TiB a
+        process can address, so nothing is allocated; numpy raised
+        _ArrayMemoryError for it. At 10^10 numpy raised ValueError: the
+        arena has more values than an array can."""
+        with pytest.raises(model.ShapeMismatch,
+                           match=rf"arena of {size} values \(\d+\.\d GiB\)"):
+            model.init_params(tiny_config(d_model=d_model, n_heads=1))
+
     def test_same_seed_identical(self):
         a = model.init_params(tiny_config())
         b = model.init_params(tiny_config())
