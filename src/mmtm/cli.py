@@ -208,7 +208,8 @@ def cmd_eval(args) -> int:
         print(f"warning: {len(load.quarantined)} test record(s) quarantined at load",
               file=sys.stderr)
     trace = [] if args.attention_out else None
-    report = evaluate.score(trained, load.records, cross_trace=trace)
+    report = evaluate.score(trained, load.records, cross_trace=trace,
+                            quarantined=load.quarantined)
     if args.report:
         Path(args.report).write_text(report.to_json(), encoding="utf-8")
     if args.attention_out:

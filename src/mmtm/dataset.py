@@ -26,6 +26,11 @@ RESERVED = ("<pad>", "<bos>", "<eos>", "<unk>")
 # Digits glued to a letter (as in "number0") are never re-masked.
 _NUMBER_IN_TEXT_RE = re.compile(r"(?<![A-Za-z0-9.])\d+(?:,\d{3})*(?:\.\d+)?")
 _PUNCT_RE = re.compile(r"([.,?!])")
+# The decimal exponent of an answer string, as Fraction reads it ("2.5e-3").
+_EXPONENT_RE = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+# Past this exponent no value has a decimal form Python writes (4300 digits),
+# and Fraction would first build the 10**exponent it names.
+MAX_ANSWER_EXPONENT = 4300
 
 
 class DatasetError(Exception):
@@ -123,6 +128,10 @@ def make_record(raw: dict, line_no: int = 0) -> MwpRecord:
     if isinstance(answer, bool) or not isinstance(answer, (int, float, str)):
         raise MalformedRecord(f"line {line_no}: answer must be a number")
     try:
+        exponent = _EXPONENT_RE.search(str(answer))
+        if exponent and abs(int(exponent[1])) > MAX_ANSWER_EXPONENT:
+            raise MalformedRecord(f"line {line_no}: answer exponent {exponent[1]} "
+                                  f"past {MAX_ANSWER_EXPONENT}")
         answer = Fraction(str(answer))
     except (ValueError, ZeroDivisionError) as e:
         raise MalformedRecord(f"line {line_no}: bad answer {answer!r}") from e

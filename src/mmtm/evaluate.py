@@ -12,7 +12,9 @@ that pass also keeps the cross-attention that `--attention-out` writes.
 Every miss carries a failure reason: `input_too_long` (the question exceeds
 the model's `max_src_len` and is never decoded), `decode_malformed` (the
 label does not rebuild into a tree), `eval_error` (the tree cannot be
-evaluated, e.g. division by zero) or `wrong_answer`. Misses never abort a run.
+evaluated, e.g. division by zero), `wrong_answer`, or `malformed_record` (the
+test line was quarantined at load, so there is nothing to decode). Misses
+never abort a run.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,7 +53,7 @@ class Verdict:
     reconstructed_ok: bool
     predicted_answer: Optional[str]  # None if not evaluated or past 4300 digits
     correct: bool
-    # input_too_long | decode_malformed | eval_error | wrong_answer
+    # input_too_long | decode_malformed | eval_error | wrong_answer | malformed_record
     failure_reason: Optional[str]
 
 
@@ -132,8 +134,13 @@ def _predict(trained: TrainedModel, records: list[MwpRecord],
 
 
 def score(trained: TrainedModel, records: list[MwpRecord],
-          cross_trace: Optional[list] = None) -> EvalReport:
-    """Answer accuracy over records plus one-op/two-op and operator cohorts."""
+          cross_trace: Optional[list] = None,
+          quarantined: Sequence[dict] = ()) -> EvalReport:
+    """Answer accuracy over records plus one-op/two-op and operator cohorts.
+
+    `quarantined` takes `dataset.load_corpus`'s quarantine entries. Each gets
+    a `malformed_record` verdict after the records' verdicts, named by its id
+    or else `line <n>`, and counts in `total` and the Full Set only."""
     verdicts = _predict(trained, records, cross_trace)
     cohorts = {row: {"count": 0, "correct": 0} for row in COHORT_ROWS}
     for record, verdict in zip(records, verdicts):
@@ -146,10 +153,14 @@ def score(trained: TrainedModel, records: list[MwpRecord],
         for row in rows:
             cohorts[row]["count"] += 1
             cohorts[row]["correct"] += int(verdict.correct)
+    verdicts += [Verdict(f"line {q['line']}" if q["id"] is None else str(q["id"]),
+                         [], False, None, False, "malformed_record")
+                 for q in quarantined]
+    cohorts["Full Set"]["count"] += len(quarantined)
     for c in cohorts.values():
         c["accuracy"] = c["correct"] / c["count"] if c["count"] else "n/a"
     return EvalReport(
-        total=len(records),
+        total=len(verdicts),
         correct=sum(v.correct for v in verdicts),
         cohorts=cohorts,
         verdicts=verdicts,

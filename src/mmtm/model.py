@@ -29,7 +29,12 @@ on (N, d) rows, one per non-PAD position of the padded source and of the
 BOS-prefixed target input. The attention core (scores, softmax, context) runs
 on cache-sized blocks of consecutive batch rows, each padded only to its own
 longest row (`_layout` gives `Block`s of a query and a key `Side`). The tape
-keeps the FFN's ReLU output and bool dropout masks. PAD gets no embedding
+keeps only what backward cannot rebuild bit for bit: per sublayer the
+LayerNorm's `xhat` and scale, the projected queries, keys and values, the
+attention weights, the FFN's ReLU output, bool dropout masks, and for
+cross-attention the encoder states. Backward rebuilds each LayerNorm output
+and attention context with the forward's own expressions, and pops each
+entry as it runs, so a tape is used once. PAD gets no embedding
 gradient. The decoder stack, `_decoder_stack`, is written once: training runs
 it on a packed batch, and greedy decoding on one row per source and step,
 against cached attention keys and values.
@@ -321,7 +326,7 @@ def _ln_fwd(x, g, b):
     xc = x - np.add.reduce(x, -1, keepdims=True) / d
     inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / d + _LN_EPS)
     xhat = xc * inv
-    return g * xhat + b, {"xhat": xhat, "inv": inv, "g": g}
+    return g * xhat + b, {"xhat": xhat, "inv": inv, "g": g, "b": b}
 
 
 def _ln_bwd(dout, cache, grads, name):
@@ -449,22 +454,27 @@ def _mha_fwd(params, name, x_q, x_kv, blocks, rng, past=None):
             k, v = past
     ctx, attn = _attention(q, k, v, blocks, cfg.n_heads)
     out, keep = _dropout_fwd(ctx @ t[f"{name}.wo"], cfg.dropout, rng)
-    cache = {"name": name, "x_q": x_q, "x_kv": x_kv, "q": q, "k": k, "v": v,
-             "attn": attn, "ctx": ctx, "keep": keep, "blocks": blocks}
+    cache = {"name": name, "q": q, "k": k, "v": v, "attn": attn, "keep": keep,
+             "blocks": blocks}
+    if x_kv is not x_q:  # cross-attention: backward cannot rebuild the states
+        cache["x_kv"] = x_kv
     return out, cache
 
 
-def _mha_bwd(dout, cache, params, grads):
+def _mha_bwd(dout, cache, x_q, params, grads):
+    """`x_q` is the forward's query input, rebuilt by the caller; the context
+    is rebuilt here, block by block, as the forward computed it."""
     t, h = params.tensors, params.config.n_heads
     name, q, k, v = cache["name"], cache["q"], cache["k"], cache["v"]
+    x_kv = cache.get("x_kv", x_q)
     dout = _dropout(dout, cache["keep"], params.config.dropout)
-    grads[f"{name}.wo"] += cache["ctx"].T @ dout
     dctx = dout @ t[f"{name}.wo"].T
-    dq, dk, dv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+    ctx, dq, dk, dv = map(np.empty_like, (q, q, k, v))
     scale = 1.0 / math.sqrt(q.shape[1] // h)
     for (qs, ks, _), attn in zip(cache["blocks"], cache["attn"]):
         qb, kb, vb, dctxb = (_split(x, side, h) for x, side in
                              ((q, qs), (k, ks), (v, ks), (dctx, qs)))
+        ctx[qs.start:qs.stop] = _merge(np.matmul(attn, vb), qs)
         dscores = np.matmul(dctxb, vb.transpose(0, 1, 3, 2))  # d attn, to d scores
         dv[ks.start:ks.stop] = _merge(np.matmul(attn.transpose(0, 1, 3, 2), dctxb), ks)
         dscores -= (dscores * attn).sum(-1, keepdims=True)
@@ -472,9 +482,10 @@ def _mha_bwd(dout, cache, params, grads):
         dscores *= scale
         dq[qs.start:qs.stop] = _merge(np.matmul(dscores, kb), qs)
         dk[ks.start:ks.stop] = _merge(np.matmul(dscores.transpose(0, 1, 3, 2), qb), ks)
-    grads[f"{name}.wq"] += cache["x_q"].T @ dq
-    grads[f"{name}.wk"] += cache["x_kv"].T @ dk
-    grads[f"{name}.wv"] += cache["x_kv"].T @ dv
+    grads[f"{name}.wo"] += ctx.T @ dout
+    grads[f"{name}.wq"] += x_q.T @ dq
+    grads[f"{name}.wk"] += x_kv.T @ dk
+    grads[f"{name}.wv"] += x_kv.T @ dv
     dx_q = dq @ t[f"{name}.wq"].T
     dx_kv = dk @ t[f"{name}.wk"].T + dv @ t[f"{name}.wv"].T
     return dx_q, dx_kv
@@ -489,16 +500,18 @@ def _ffn_fwd(params, name, x, rng):
     out = hid @ t[f"{name}.w2"]
     out += t[f"{name}.b2"]
     out, keep = _dropout_fwd(out, params.config.dropout, rng)
-    return out, {"name": name, "x": x, "hid": hid, "keep": keep}
+    return out, {"name": name, "hid": hid, "keep": keep}
 
 
-def _ffn_bwd(dout, cache, params, grads):
+def _ffn_bwd(dout, cache, x, params, grads):
+    """`x` is the forward's input, rebuilt by the caller."""
     t, name, hid = params.tensors, cache["name"], cache["hid"]
     dout = _dropout(dout, cache["keep"], params.config.dropout)
     grads[f"{name}.w2"] += hid.T @ dout
     grads[f"{name}.b2"] += dout.sum(0)
-    dhid = (dout @ t[f"{name}.w2"].T) * (hid > 0)
-    grads[f"{name}.w1"] += cache["x"].T @ dhid
+    dhid = dout @ t[f"{name}.w2"].T
+    dhid *= hid > 0
+    grads[f"{name}.w1"] += x.T @ dhid
     grads[f"{name}.b1"] += dhid.sum(0)
     return dhid @ t[f"{name}.w1"].T
 
@@ -608,13 +621,18 @@ def zero_grads(params: ParamStore) -> Arena:
 
 
 def _tape_bwd(dx, caches, params, grads):
-    """Walk sublayer caches in reverse; returns (dx, d_states_accum)."""
+    """Pop sublayer caches from the end, so each is freed once its backward
+    has run; returns (dx, d_states_accum). Each sublayer's LayerNorm output is
+    rebuilt from the LayerNorm cache with the forward's own expression, so it
+    is bit-identical to the one the forward used."""
     dstates = None
-    for kind, name_ln, ln_cache, sub_cache in reversed(caches):
+    while caches:
+        kind, name_ln, ln_cache, sub_cache = caches.pop()
+        normed = ln_cache["g"] * ln_cache["xhat"] + ln_cache["b"]
         if kind == "ffn":
-            dsub = _ffn_bwd(dx, sub_cache, params, grads)
+            dsub = _ffn_bwd(dx, sub_cache, normed, params, grads)
         else:
-            dsub, dkv = _mha_bwd(dx, sub_cache, params, grads)
+            dsub, dkv = _mha_bwd(dx, sub_cache, normed, params, grads)
             if kind == "attn":
                 dsub = dsub + dkv
             else:  # cross: keys and values came from the encoder states
@@ -624,7 +642,8 @@ def _tape_bwd(dx, caches, params, grads):
 
 
 def decode_bwd(dlogits, dec_tape, params, grads):
-    """Backprop the decoder; returns the gradient w.r.t. the packed states."""
+    """Backprop the decoder; returns the gradient w.r.t. the packed states.
+    Empties the tape's sublayer caches as it goes, so a tape is used once."""
     key = dec_tape["task"]
     grads[f"dec.{key}.out.w"] += dec_tape["normed"].T @ dlogits
     grads[f"dec.{key}.out.b"] += dlogits.sum(0)
@@ -636,6 +655,8 @@ def decode_bwd(dlogits, dec_tape, params, grads):
 
 
 def encode_bwd(dstates, enc_tape, params, grads):
+    """Backprop the encoder. Empties the tape's sublayer caches as it goes, so a
+    tape is used once."""
     dx = _ln_bwd(dstates, enc_tape["lnf"], grads, "enc.ln_f")
     dx, _ = _tape_bwd(dx, enc_tape["caches"], params, grads)
     np.add.at(grads["src_embed"], enc_tape["ids"], dx)
@@ -674,7 +695,10 @@ def loss_and_grads_batch(params: ParamStore, task, src_ids, tgt_full, rng=None,
     logits, dec_tape = decode_batch(params, task, states, enc_tape["mask"],
                                     np.asarray(tgt_full)[:, :-1], rng=rng)
     value, dlogits = loss_batch(logits, tgt_full)
-    encode_bwd(decode_bwd(dlogits, dec_tape, params, grads), enc_tape, params, grads)
+    del logits
+    dstates = decode_bwd(dlogits, dec_tape, params, grads)
+    del dlogits, dec_tape, states  # free them before the encoder's backward
+    encode_bwd(dstates, enc_tape, params, grads)
     return value, grads
 
 
@@ -735,8 +759,8 @@ def _greedy_chunk(params, key, sources, limit, with_trace):
     for pos in range(n_pos):
         x = t[f"dec.{key}.tgt_embed"][tokens] + pe[pos]
         pasts = zip(self_kv[..., :pos + 1, :], cross_kv)  # per layer
-        logits, tape = _decoder_stack(params, key, x, [], None, self_blocks,
-                                      cross_blocks, None, pasts)
+        logits, tape = _decoder_stack(params, key, x, [] if with_trace else None, None,
+                                      self_blocks, cross_blocks, None, pasts)
         if with_trace:
             cross.append([sub["attn"][0][:, :, 0]
                           for kind, _, _, sub in tape["caches"] if kind == "cross"])

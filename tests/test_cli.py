@@ -321,6 +321,25 @@ class TestEval:
         assert sorted(p.stem for p in att.glob("*.json")) == \
             sorted(v["record_id"] for v in report["verdicts"][:-1])
 
+    def test_quarantined_record_counted(self, trained_dir, tmp_path, capsys):
+        """The oversized-equation corpus: the quarantined record once left
+        `total` at 19."""
+        test = tmp_path / "test.jsonl"
+        synth.write_corpus(test, synth.generate_raw(19, seed=34)
+                           + [oversized_equation_row("big", "nested")])
+        report_path = tmp_path / "report.json"
+        rc = cli.main(["eval", "--checkpoint",
+                       str(trained_dir / "checkpoint_final.mmtm"),
+                       "--test", str(test), "--report", str(report_path)])
+        assert rc == 0
+        assert "1 test record(s) quarantined at load" in capsys.readouterr().err
+        report = json.loads(report_path.read_text())
+        assert report["total"] == 20 == report["cohorts"]["Full Set"]["count"]
+        assert report["accuracy"] == report["correct"] / 20
+        verdict = report["verdicts"][-1]
+        assert verdict["record_id"] == "big" and verdict["correct"] is False
+        assert verdict["failure_reason"] == "malformed_record"
+
     def test_checkpoint_directory_exit_2(self, test_path, tmp_path, capsys):
         rc = cli.main(["eval", "--checkpoint", str(tmp_path), "--test",
                        str(test_path)])

@@ -261,6 +261,22 @@ class TestOversizedInput:
         assert len(load.records) == 3
         assert [q["id"] for q in load.quarantined] == ["huge"]
 
+    @pytest.mark.parametrize("answer", ["1e1000000", "1E-4301", "2e+99_999"])
+    def test_answer_exponent_past_the_bound_is_malformed(self, answer):
+        """Fraction("1e1000000") builds 10**1000000 first: 0.35 s before the
+        record was quarantined as an AnswerMismatch."""
+        raw = {"id": "exp", "question": "A jug holds 1 liter and fills 400 cups .",
+               "equation": "1 / 400", "answer": answer}
+        with pytest.raises(dataset.MalformedRecord,
+                           match="answer exponent .* past 4300"):
+            dataset.make_record(raw)
+
+    @pytest.mark.parametrize("answer", ["2.5e-3", "25E-4", "0.0025e0", 0.0025])
+    def test_answer_with_a_small_exponent_loads(self, answer):
+        raw = {"id": "exp", "question": "A jug holds 1 liter and fills 400 cups .",
+               "equation": "1 / 400", "answer": answer}
+        assert dataset.make_record(raw).answer == Fraction(1, 400)
+
     def test_non_object_deep_and_huge_int_lines_quarantined(self, tmp_path):
         path = tmp_path / "c.jsonl"
         good = synth.generate_raw(1, seed=4)[0]

@@ -102,6 +102,22 @@ class TestScore:
         report = evaluate.score(memorized, load.records)
         assert [v.record_id for v in report.verdicts] == [r["id"] for r in rows]
 
+    def test_quarantined_lines_count_as_malformed_records(self, memorized, corpus12):
+        quarantined = [{"line": 4, "id": "bad-eq", "reason": "bad equation"},
+                       {"line": 7, "id": None, "reason": "bad json"}]
+        alone = evaluate.score(memorized, corpus12[:3])
+        report = evaluate.score(memorized, corpus12[:3], quarantined=quarantined)
+        assert report.verdicts[:3] == alone.verdicts
+        assert [v.record_id for v in report.verdicts[3:]] == ["bad-eq", "line 7"]
+        assert all(not v.correct and v.failure_reason == "malformed_record"
+                   for v in report.verdicts[3:])
+        assert (report.total, report.correct) == (5, alone.correct)
+        full = report.cohorts["Full Set"]
+        assert (full["count"], full["correct"], full["accuracy"]) == (
+            5, alone.correct, alone.correct / 5)
+        for row in evaluate.COHORT_ROWS[1:]:
+            assert report.cohorts[row] == alone.cohorts[row]
+
     def test_op_cohorts_by_inclusion(self, memorized, corpus12):
         report = evaluate.score(memorized, corpus12)
         op_total = sum(report.cohorts[k]["count"]
