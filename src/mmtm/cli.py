@@ -12,6 +12,7 @@ import argparse
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -38,7 +39,8 @@ def _sha256(path: Path) -> str:
     return h.hexdigest()
 
 
-def _default_seed(args) -> int:
+def _seed(args) -> int:
+    """`--seed`, else the MMTM_SEED environment variable, else 0."""
     if args.seed is not None:
         return args.seed
     text = os.environ.get("MMTM_SEED", "0")
@@ -60,20 +62,13 @@ def _positive_ints(text: str) -> list[int]:
     return values
 
 
-def _load_corpus(path: str) -> dataset.CorpusLoad:
-    p = Path(path)
-    if not p.exists():
-        raise CliInputError(f"corpus file not found: {path}")
-    return dataset.load_corpus(p)
-
-
-def _write_manifest(out_dir: Path, command: str, args, inputs: dict,
+def _write_manifest(out_dir: Path, command: str, seed: int, inputs: dict,
                     config: dict, plan: dict, artifacts: list[str]):
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "tool_version": __version__,
         "command": command,
-        "seed": _default_seed(args),
+        "seed": seed,
         "inputs": {
             name: {"path": str(p), "sha256": _sha256(Path(p))}
             for name, p in inputs.items() if p
@@ -84,21 +79,35 @@ def _write_manifest(out_dir: Path, command: str, args, inputs: dict,
     }
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
-    return manifest
 
 
-def _read_config_file(path: str, defaults: dict) -> dict:
-    """The config file's values for the keys in `defaults`, each of the
-    default's type (an int is accepted where the default is a float)."""
+# Train and sweep options: each ModelConfig or TrainPlan field a config file
+# may set, keyed by its name, and the flag that sets it (None: none; --layers
+# sets both layer counts). A file value beats the default; a flag beats both.
+OPTIONS = {
+    "d_model": "--dim", "n_enc_layers": "--layers", "n_dec_layers": "--layers",
+    "n_heads": "--heads", "dtype": "--dtype", "dropout": None,
+    "max_src_len": None, "max_tgt_len": None,
+    "batch_size": "--batch-size", "pretrain_epochs": "--pretrain-epochs",
+    "finetune_epochs": "--finetune-epochs", "pretrain_lr": "--pretrain-lr",
+    "finetune_lr": "--finetune-lr",
+}
+_DEFAULTS = {f.name: f.default for cls in (train.TrainPlan, model.ModelConfig)
+             for f in dataclasses.fields(cls)}
+
+
+def _read_config_file(path: str) -> dict:
+    """The config file's values for the OPTIONS fields, each of the field's
+    default type (an int is accepted where the default is a float)."""
     try:
         file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise CliInputError(f"config file {path} nests too deeply") from None
     if not isinstance(file_cfg, dict):
         raise CliInputError(f"config file {path} must hold a JSON object")
-    values = {k: file_cfg[k] for k in defaults if k in file_cfg}
+    values = {key: file_cfg[key] for key in OPTIONS if key in file_cfg}
     for key, value in values.items():
-        kind = type(defaults[key])
+        kind = type(_DEFAULTS[key])
         accepted = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise CliInputError(f"config file {path}: {key!r} must be "
@@ -106,41 +115,36 @@ def _read_config_file(path: str, defaults: dict) -> dict:
     return values
 
 
-def _resolve_config_plan(args):
-    """ModelConfig defaults, then config file values, then flags (flags win)."""
-    cfg_keys = ("d_model", "n_enc_layers", "n_dec_layers", "n_heads", "dropout",
-                "dtype", "max_src_len", "max_tgt_len")
+def _resolve_config_plan(args, seed: int):
+    """(ModelConfig fields, TrainPlan fields), each with the seed: every
+    ModelConfig field in OPTIONS, and the TrainPlan fields a file or flag sets."""
     cfg = {f.name: f.default for f in dataclasses.fields(model.ModelConfig)
-           if f.name in cfg_keys}
-    plan_keys = ("pretrain_epochs", "finetune_epochs", "pretrain_lr", "finetune_lr",
-                 "batch_size")
-    file_cfg = {}
-    if getattr(args, "config", None):
-        plan_defaults = train.TrainPlan()
-        file_cfg = _read_config_file(
-            args.config, {**cfg, **{k: getattr(plan_defaults, k) for k in plan_keys}})
-    cfg.update({k: file_cfg[k] for k in cfg if k in file_cfg})
-    plan_kv = {k: file_cfg[k] for k in plan_keys if k in file_cfg}
-    if getattr(args, "dim", None) is not None:
-        cfg["d_model"] = args.dim
-    if getattr(args, "layers", None) is not None:
-        cfg["n_enc_layers"] = cfg["n_dec_layers"] = args.layers
-    if getattr(args, "heads", None) is not None:
-        cfg["n_heads"] = args.heads
-    if getattr(args, "dtype", None) is not None:
-        cfg["dtype"] = args.dtype
-    plan_kv.update({k: getattr(args, k) for k in plan_keys
-                    if getattr(args, k, None) is not None})
-    seed = _default_seed(args)
-    cfg["seed"] = seed
-    plan_kv["seed"] = seed
-    return cfg, plan_kv
+           if f.name in OPTIONS}
+    plan = {}
+    file_values = _read_config_file(args.config) if args.config else {}
+    for field, flag in OPTIONS.items():
+        value = vars(args).get(flag[2:].replace("-", "_")) if flag else None
+        value = file_values.get(field) if value is None else value
+        if value is not None:
+            (cfg if field in cfg else plan)[field] = value
+    cfg["seed"] = plan["seed"] = seed
+    return cfg, plan
+
+
+def _load_test(path: str) -> dataset.CorpusLoad:
+    """A test corpus for `eval` and `sweep`; warns when lines were quarantined."""
+    test = dataset.load_corpus(path)
+    if test.quarantined:
+        print(f"warning: {len(test.quarantined)} test record(s) quarantined at load",
+              file=sys.stderr)
+    return test
 
 
 def cmd_augment(args) -> int:
-    load = _load_corpus(args.corpus)
+    seed = _seed(args)
+    load = dataset.load_corpus(args.corpus)
     out_dir = Path(args.out)
-    _write_manifest(out_dir, "augment", args, {"corpus": args.corpus},
+    _write_manifest(out_dir, "augment", seed, {"corpus": args.corpus},
                     config={}, plan={},
                     artifacts=[f"task_{v.value}.jsonl" for v in TraversalVariant]
                     + ["quarantine.jsonl"])
@@ -158,16 +162,15 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    load = _load_corpus(args.corpus)
+    seed = _seed(args)
+    load = dataset.load_corpus(args.corpus)
     if not load.records:
         raise CliInputError("corpus has no valid records")
     embeddings = None
     if args.embeddings:
-        if not Path(args.embeddings).exists():
-            raise CliInputError(f"embeddings file not found: {args.embeddings}")
         embeddings = pca_init.load_embeddings_tsv(args.embeddings)
     out_dir = Path(args.out)
-    cfg_kv, plan_kv = _resolve_config_plan(args)
+    cfg_kv, plan_kv = _resolve_config_plan(args, seed)
     vocab = dataset.build_vocab(load.records)
     config = model.ModelConfig(src_vocab_size=vocab.src_size,
                                tgt_vocab_size=vocab.tgt_size, **cfg_kv)
@@ -176,7 +179,7 @@ def cmd_train(args) -> int:
     if not args.no_pretrain:
         artifacts = ["checkpoint_pretrain.mmtm",
                      "trainlog_pretrain.jsonl"] + artifacts
-    _write_manifest(out_dir, "train", args,
+    _write_manifest(out_dir, "train", seed,
                     {"corpus": args.corpus, "embeddings": args.embeddings},
                     config=cfg_kv, plan=plan_kv, artifacts=artifacts)
     result = train.train_pipeline(load.records, config, plan, vocab=vocab,
@@ -200,13 +203,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    if not Path(args.checkpoint).exists():
-        raise CliInputError(f"checkpoint not found: {args.checkpoint}")
     trained = checkpoint.load(args.checkpoint)
-    load = _load_corpus(args.test)
-    if load.quarantined:
-        print(f"warning: {len(load.quarantined)} test record(s) quarantined at load",
-              file=sys.stderr)
+    load = _load_test(args.test)
     trace = [] if args.attention_out else None
     report = evaluate.score(trained, load.records, cross_trace=trace,
                             quarantined=load.quarantined)
@@ -223,58 +221,67 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    load = _load_corpus(args.corpus)
-    test = _load_corpus(args.test)
+    seed = _seed(args)
+    load = dataset.load_corpus(args.corpus)
+    test = _load_test(args.test)
     embeddings = None
     if args.embeddings:
         embeddings = pca_init.load_embeddings_tsv(args.embeddings)
-    dims, layer_counts = args.dims, args.layer_list
     inits = ["scratch"] + (["pca"] if embeddings is not None else [])
     out_dir = Path(args.out)
-    _write_manifest(out_dir, "sweep", args,
+    _write_manifest(out_dir, "sweep", seed,
                     {"corpus": args.corpus, "test": args.test,
                      "embeddings": args.embeddings},
-                    config={"dims": dims, "layers": layer_counts, "inits": inits},
+                    config={"dims": args.dims, "layers": args.layer_list,
+                            "inits": inits},
                     plan={}, artifacts=["sweep.csv"])
     csv_path = out_dir / "sweep.csv"
-    done = set()
-    rows = []
-    if csv_path.exists():
-        with open(csv_path, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                done.add((int(row["dim"]), int(row["layers"]), row["init"]))
-                rows.append(row)
-    cfg_kv, plan_kv = _resolve_config_plan(args)
+    rows, done = _read_sweep_csv(csv_path)
+    cfg_kv, plan_kv = _resolve_config_plan(args, seed)
     plan = train.TrainPlan(**plan_kv)
     vocab = dataset.build_vocab(load.records)
-    for dim in dims:
-        for layers in layer_counts:
-            for init_kind in inits:
-                key = (dim, layers, init_kind)
-                if key in done:
-                    continue
-                cfg = dict(cfg_kv, d_model=dim, n_enc_layers=layers,
-                           n_dec_layers=layers)
-                if cfg["n_heads"] >= 1 and dim % cfg["n_heads"] != 0:
-                    cfg["n_heads"] = 2 if dim % 2 == 0 else 1
-                config = model.ModelConfig(src_vocab_size=vocab.src_size,
-                                           tgt_vocab_size=vocab.tgt_size, **cfg)
-                result = train.train_pipeline(
-                    load.records, config, plan, vocab=vocab,
-                    embeddings=embeddings if init_kind == "pca" else None)
-                report = evaluate.score(result.trained, test.records)
-                rows.append({"dim": dim, "layers": layers, "init": init_kind,
-                             "accuracy": f"{report.accuracy:.6f}"})
-                _write_sweep_csv(csv_path, rows)
+    for dim, layers, init_kind in itertools.product(args.dims, args.layer_list, inits):
+        if (dim, layers, init_kind) in done:
+            continue
+        cfg = dict(cfg_kv, d_model=dim, n_enc_layers=layers, n_dec_layers=layers)
+        if cfg["n_heads"] >= 1 and dim % cfg["n_heads"] != 0:
+            cfg["n_heads"] = 2 if dim % 2 == 0 else 1
+        config = model.ModelConfig(src_vocab_size=vocab.src_size,
+                                   tgt_vocab_size=vocab.tgt_size, **cfg)
+        result = train.train_pipeline(
+            load.records, config, plan, vocab=vocab,
+            embeddings=embeddings if init_kind == "pca" else None)
+        report = evaluate.score(result.trained, test.records,
+                                quarantined=test.quarantined)
+        rows.append({"dim": dim, "layers": layers, "init": init_kind,
+                     "accuracy": f"{report.accuracy:.6f}"})
+        _write_sweep_csv(csv_path, rows)
     _write_sweep_csv(csv_path, rows)
     print(f"sweep complete: {len(rows)} rows in {csv_path}")
     return EXIT_OK
 
 
+SWEEP_COLUMNS = ["dim", "layers", "init", "accuracy"]
+
+
+def _read_sweep_csv(path: Path) -> tuple[list[dict], set]:
+    """An earlier run's rows (none if it wrote no file) and the cells they hold."""
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        if any(row.keys() != set(SWEEP_COLUMNS) or None in row.values()
+               for row in rows):
+            raise ValueError(f"a row's columns are not {','.join(SWEEP_COLUMNS)}")
+        return rows, {(int(r["dim"]), int(r["layers"]), r["init"]) for r in rows}
+    except FileNotFoundError:
+        return [], set()
+    except (csv.Error, ValueError) as e:  # UnicodeDecodeError is a ValueError
+        raise CliInputError(f"cannot resume from {path}: {e}") from None
+
+
 def _write_sweep_csv(path: Path, rows: list[dict]):
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=["dim", "layers", "init",
-                                                "accuracy"])
+        writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
         writer.writerows(rows)
 
@@ -287,20 +294,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common_train_flags(p, with_shape=True):
+    def add_train_options(p, grid_flags=()):
+        """--config, --seed and the OPTIONS flags, less the sweep grid's."""
         p.add_argument("--config", help="JSON config file (flags win)")
-        if with_shape:
-            p.add_argument("--dim", type=int, help="model width d_model")
-            p.add_argument("--layers", type=int,
-                           help="encoder/decoder layer count")
-        p.add_argument("--heads", type=int)
-        p.add_argument("--dtype", choices=["float64", "float32"])
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.add_argument("--pretrain-epochs", dest="pretrain_epochs", type=int)
-        p.add_argument("--finetune-epochs", dest="finetune_epochs", type=int)
-        p.add_argument("--pretrain-lr", dest="pretrain_lr", type=float)
-        p.add_argument("--finetune-lr", dest="finetune_lr", type=float)
+        p.add_argument("--seed", type=int)
+        for flag in dict.fromkeys(OPTIONS.values()):
+            if flag and flag not in grid_flags:
+                fields = [field for field, f in OPTIONS.items() if f == flag]
+                kind = type(_DEFAULTS[fields[0]])
+                p.add_argument(flag, type=kind, help=f"sets {' and '.join(fields)}",
+                               choices=("float64", "float32") if kind is str else None)
 
     p = sub.add_parser("augment", help="emit the three traversal task datasets")
     p.add_argument("--corpus", required=True)
@@ -314,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-pretrain", action="store_true",
                    help="skip multi-task pretraining (ablation arm)")
     p.add_argument("--out", required=True)
-    add_common_train_flags(p)
+    add_train_options(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a checkpoint on a test corpus")
@@ -334,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list, e.g. 1,2")
     p.add_argument("--embeddings")
     p.add_argument("--out", required=True)
-    add_common_train_flags(p, with_shape=False)
+    add_train_options(p, grid_flags=("--dim", "--layers"))
     p.set_defaults(func=cmd_sweep)
 
     return parser

@@ -35,7 +35,6 @@ class PretrainedEmbeddings:
 
     vectors: Mapping[str, np.ndarray]
     width: int
-    source_path: str = ""
 
 
 class _TsvRows(Mapping):
@@ -89,8 +88,7 @@ def load_embeddings_tsv(path: str | Path) -> PretrainedEmbeddings:
                 token = line.rstrip("\n").split("\t", 1)[0]
                 raise PcaError(f"{path}: row for {token!r} has wrong width")
             lines[line[:line.index("\t")]] = line
-    return PretrainedEmbeddings(_TsvRows(str(path), lines), width,
-                                source_path=str(path))
+    return PretrainedEmbeddings(_TsvRows(str(path), lines), width)
 
 
 def write_embeddings_tsv(path: str | Path, pretrained: PretrainedEmbeddings) -> None:

@@ -35,12 +35,12 @@ _TWO_OP = (
 )
 
 
-def generate_raw(n: int, seed: int = 0, two_op_share: float = 0.5) -> list[dict]:
+def generate_raw(n: int, seed: int = 0) -> list[dict]:
     """n raw corpus rows ({id, question, equation, answer}) with clean answers."""
     rng = np.random.default_rng(seed)
     rows = []
     for i in range(n):
-        two = rng.random() < two_op_share
+        two = rng.random() < 0.5
         templates = _TWO_OP if two else _ONE_OP
         text, equation = templates[int(rng.integers(len(templates)))]
         name = _NAMES[int(rng.integers(len(_NAMES)))]

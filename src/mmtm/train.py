@@ -162,7 +162,6 @@ def pretrain_multitask(
     params: ParamStore,
     datasets: dict[TraversalVariant, list[TaskExample]],
     plan: TrainPlan,
-    opt: Optional[Adam] = None,
 ) -> tuple[ParamStore, TrainLog]:
     """Round-robin homogeneous-task batches through the three decoders."""
     for variant in TraversalVariant:
@@ -177,7 +176,7 @@ def pretrain_multitask(
             yield [batch for row in itertools.zip_longest(*per_task)
                    for batch in row if batch is not None]
 
-    return params, _run_stage(params, opt or Adam(plan), "pretrain",
+    return params, _run_stage(params, Adam(plan), "pretrain",
                               plan.pretrain_lr, epochs(), plan.seed + 1)
 
 
@@ -185,7 +184,6 @@ def finetune(
     params: ParamStore,
     preorder_dataset: list[TaskExample],
     plan: TrainPlan,
-    opt: Optional[Adam] = None,
 ) -> tuple[ParamStore, TrainLog]:
     """Update the encoder and pre-order decoder only."""
     if not preorder_dataset:
@@ -193,7 +191,7 @@ def finetune(
     rng = np.random.default_rng(plan.seed + 2)
     epochs = (_batches(preorder_dataset, plan.batch_size, rng)
               for _ in range(plan.finetune_epochs))
-    return params, _run_stage(params, opt or Adam(plan), "finetune",
+    return params, _run_stage(params, Adam(plan), "finetune",
                               plan.finetune_lr, epochs, plan.seed + 3)
 
 
@@ -233,11 +231,11 @@ def train_pipeline(
     embeddings: Optional[pca_init.PretrainedEmbeddings] = None,
     pretrain: bool = True,
 ) -> PipelineResult:
-    """Quarantine over-length records, build vocab, init (optionally from PCA
-    of pretrained embeddings), pretrain over all three tasks, then fine-tune
-    on pre-order."""
-    records, quarantined = split_by_length(records, config)
+    """Build the vocabulary from every record given (unless `vocab` is), then
+    quarantine over-length records, init (optionally from PCA of pretrained
+    embeddings), pretrain over all three tasks and fine-tune on pre-order."""
     vocab = vocab or dataset.build_vocab(records)
+    records, quarantined = split_by_length(records, config)
     config = replace(config, src_vocab_size=vocab.src_size,
                      tgt_vocab_size=vocab.tgt_size)
     embedding_init = None

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
-from mmtm import checkpoint, cli, dataset, evaluate, model, pca_init, synth
+from mmtm import checkpoint, cli, dataset, evaluate, model, pca_init, synth, train
 from mmtm.pca_init import PretrainedEmbeddings
 from conftest import long_question_row, oversized_equation_row
 
@@ -464,3 +465,163 @@ class TestSweep:
         assert cli.main(args) == 0
         assert (tmp_path / "sweep" / "sweep.csv").read_text().splitlines() == \
             csv_lines
+
+
+class TestEntryDecisions:
+    """Each entry-layer question (options, vocabulary, missing inputs) has one
+    answer, whichever command or function asks it."""
+
+    @staticmethod
+    def option_value(field, which):
+        """A value for `field` other than its default: which=1 for a config
+        file, which=2 for a flag."""
+        defaults = {f.name: f.default for cls in (model.ModelConfig, train.TrainPlan)
+                    for f in dataclasses.fields(cls)}
+        if isinstance(defaults[field], str):
+            return ("float32", "float64")[which - 1]
+        return defaults[field] + which
+
+    def test_option_precedence_over_the_whole_table(self, tmp_path):
+        cfg_file = tmp_path / "cfg.json"
+        file_values = {field: self.option_value(field, 1) for field in cli.OPTIONS}
+        cfg_file.write_text(json.dumps(file_values))
+        flags = {flag: self.option_value(field, 2)
+                 for field, flag in cli.OPTIONS.items() if flag}
+        base = ["train", "--corpus", "c.jsonl", "--out", "o"]
+
+        def resolve(argv):
+            cfg, plan = cli._resolve_config_plan(
+                cli.build_parser().parse_args(base + argv), seed=7)
+            assert cfg.pop("seed") == plan.pop("seed") == 7
+            return cfg, plan
+
+        cfg, plan = resolve([])
+        defaults = {f.name: f.default for f in dataclasses.fields(model.ModelConfig)}
+        assert cfg == {f: defaults[f] for f in cli.OPTIONS if f in defaults}
+        assert plan == {}
+        cfg, plan = resolve(["--config", str(cfg_file)])
+        assert {**cfg, **plan} == file_values  # every file value is kept
+        argv = [arg for flag, value in flags.items() for arg in (flag, str(value))]
+        cfg, plan = resolve(["--config", str(cfg_file)] + argv)
+        assert {**cfg, **plan} == {  # a flag beats the file
+            field: flags[flag] if flag else file_values[field]
+            for field, flag in cli.OPTIONS.items()}
+        assert cfg["n_enc_layers"] == cfg["n_dec_layers"] == flags["--layers"]
+
+    def test_pipeline_vocab_and_arena_match_cli_train(self, tmp_path):
+        """30 records and one question over max_src_len: train_pipeline once
+        built its vocabulary from the 30 kept records only (78 source tokens)."""
+        corpus = synth.write_corpus(tmp_path / "train.jsonl",
+                                    synth.generate_raw(30, seed=33)
+                                    + [long_question_row("long-q", 254)])
+        assert cli.main(["train", "--corpus", str(corpus)]
+                        + fast_train_flags(tmp_path / "o")) == 0
+        written = checkpoint.load(tmp_path / "o" / "checkpoint_final.mmtm")
+        cfg = model.ModelConfig(src_vocab_size=1, tgt_vocab_size=1, d_model=16, seed=5)
+        plan = train.TrainPlan(batch_size=8, pretrain_epochs=1, finetune_epochs=2,
+                               finetune_lr=1e-3, seed=5)
+        result = train.train_pipeline(dataset.load_corpus(corpus).records, cfg, plan)
+        assert [q["id"] for q in result.quarantined] == ["long-q"]
+        assert result.trained.vocab.src_size == written.vocab.src_size == 82
+        for side in ("src_itos", "tgt_itos"):
+            assert getattr(result.trained.vocab, side) == getattr(written.vocab, side)
+        assert result.trained.params.flat.tobytes() == written.params.flat.tobytes()
+
+    @pytest.mark.parametrize("command,missing", [
+        ("train", "--corpus"), ("train", "--embeddings"), ("sweep", "--corpus"),
+        ("sweep", "--test"), ("sweep", "--embeddings"), ("eval", "--checkpoint"),
+        ("eval", "--test"), ("augment", "--corpus")])
+    def test_missing_input_exit_2_names_the_path(self, trained_dir, corpus_path,
+                                                 test_path, tmp_path, capsys,
+                                                 command, missing):
+        inputs = {"--corpus": str(corpus_path), "--test": str(test_path),
+                  "--checkpoint": str(trained_dir / "checkpoint_final.mmtm")}
+        argv = {"train": ["--corpus"], "sweep": ["--corpus", "--test"],
+                "eval": ["--checkpoint", "--test"], "augment": ["--corpus"]}[command]
+        args = {flag: inputs[flag] for flag in argv}
+        args[missing] = str(tmp_path / "absent.file")
+        rc = cli.main([command, *[a for item in args.items() for a in item]]
+                      + ([] if command == "eval" else ["--out", str(tmp_path / "o")]))
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"No such file or directory: '{tmp_path / 'absent.file'}'" in err
+
+    def test_corpus_with_no_valid_record_exit_2(self, tmp_path, capsys):
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text("not json\n{\"id\": \"x\"}\n", encoding="utf-8")
+        rc = cli.main(["train", "--corpus", str(corpus)]
+                      + fast_train_flags(tmp_path / "o"))
+        assert rc == 2
+        assert "corpus has no valid records" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "manifest.json").exists()
+
+    def test_float32_train_then_eval(self, corpus_path, test_path, tmp_path):
+        assert cli.main(["train", "--corpus", str(corpus_path), "--dtype", "float32"]
+                        + fast_train_flags(tmp_path / "o")) == 0
+        path = tmp_path / "o" / "checkpoint_final.mmtm"
+        blob = path.read_bytes()
+        (hlen,) = struct.unpack("<Q", blob[4:12])
+        header = json.loads(blob[12:12 + hlen])
+        assert header["payload_dtype"] == "<f4"
+        assert header["config"]["dtype"] == "float32"
+        assert checkpoint.load(path).params.flat.dtype == np.float32
+        assert cli.main(["eval", "--checkpoint", str(path), "--test",
+                         str(test_path)]) == 0
+
+
+class TestSweepInputs:
+    def sweep(self, corpus_path, test, out, *extra):
+        return cli.main(["sweep", "--corpus", str(corpus_path), "--test", str(test),
+                         "--out", str(out), "--dims", "8", "--batch-size", "8",
+                         "--pretrain-epochs", "1", "--finetune-epochs", "1", *extra])
+
+    def test_quarantined_test_lines_counted(self, corpus_path, test_path, tmp_path,
+                                            capsys, monkeypatch):
+        """sweep once scored only the test records that loaded."""
+        test = tmp_path / "test.jsonl"
+        test.write_text(test_path.read_text() + "not json at all\n", encoding="utf-8")
+        score, totals = evaluate.score, []
+
+        def spy(*args, **kwargs):
+            report = score(*args, **kwargs)
+            totals.append((report.total, report.correct, report.accuracy))
+            return report
+
+        monkeypatch.setattr(evaluate, "score", spy)
+        assert self.sweep(corpus_path, test, tmp_path / "s") == 0
+        assert "1 test record(s) quarantined at load" in capsys.readouterr().err
+        loaded = len(dataset.load_corpus(test).records)
+        [(total, correct, accuracy)] = totals
+        assert total == loaded + 1 == 7
+        assert accuracy == correct / 7
+        row = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1]
+        assert row == f"8,1,scratch,{accuracy:.6f}"
+
+    def test_head_fallback(self, corpus_path, test_path, tmp_path, monkeypatch):
+        """--dims 6 with the default 4 heads trains with 2."""
+        pipeline, heads = train.train_pipeline, []
+
+        def spy(records, config, *args, **kwargs):
+            heads.append(config.n_heads)
+            return pipeline(records, config, *args, **kwargs)
+
+        monkeypatch.setattr(train, "train_pipeline", spy)
+        assert self.sweep(corpus_path, test_path, tmp_path / "s", "--dims", "6") == 0
+        assert heads == [2]
+
+    @pytest.mark.parametrize("content,message", [
+        ("dim,layers,init,accuracy\nx,1,scratch,0.5\n",
+         "invalid literal for int() with base 10: 'x'"),
+        ("layers,init,accuracy\n1,scratch,0.5\n",
+         "a row's columns are not dim,layers,init,accuracy"),
+    ], ids=["non-integer-dim", "no-dim-column"])
+    def test_corrupt_csv_exit_2(self, corpus_path, test_path, tmp_path, capsys,
+                                content, message):
+        """Resuming from either file once ended in a traceback (exit 1)."""
+        out = tmp_path / "s"
+        out.mkdir()
+        (out / "sweep.csv").write_text(content, encoding="utf-8")
+        assert self.sweep(corpus_path, test_path, out) == 2
+        err = capsys.readouterr().err
+        assert f"cannot resume from {out / 'sweep.csv'}: {message}" in err
+        assert (out / "sweep.csv").read_text(encoding="utf-8") == content
