@@ -97,7 +97,7 @@ _DEFAULTS = {f.name: f.default for cls in (train.TrainPlan, model.ModelConfig)
 
 
 def _read_config_file(path: str) -> dict:
-    """The config file's values for the OPTIONS fields, each of the field's
+    """The config file's values: OPTIONS fields only, each of the field's
     default type (an int is accepted where the default is a float)."""
     try:
         file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -105,14 +105,17 @@ def _read_config_file(path: str) -> dict:
         raise CliInputError(f"config file {path} nests too deeply") from None
     if not isinstance(file_cfg, dict):
         raise CliInputError(f"config file {path} must hold a JSON object")
-    values = {key: file_cfg[key] for key in OPTIONS if key in file_cfg}
-    for key, value in values.items():
+    unknown = sorted(set(file_cfg) - set(OPTIONS))
+    if unknown:
+        raise CliInputError(f"config file {path}: unknown key(s) "
+                            f"{', '.join(map(repr, unknown))}")
+    for key, value in file_cfg.items():
         kind = type(_DEFAULTS[key])
         accepted = (int, float) if kind is float else kind
         if isinstance(value, bool) or not isinstance(value, accepted):
             raise CliInputError(f"config file {path}: {key!r} must be "
                                 f"{kind.__name__}, got {value!r}")
-    return values
+    return file_cfg
 
 
 def _resolve_config_plan(args, seed: int):
@@ -129,6 +132,18 @@ def _resolve_config_plan(args, seed: int):
             (cfg if field in cfg else plan)[field] = value
     cfg["seed"] = plan["seed"] = seed
     return cfg, plan
+
+
+def _check_stage_epochs(plan: train.TrainPlan, pretrain: bool):
+    """Refuse a run that trains no epoch; warn of a stage that trains none."""
+    stages = {"finetune_epochs": plan.finetune_epochs}
+    if pretrain:
+        stages["pretrain_epochs"] = plan.pretrain_epochs
+    elif not plan.finetune_epochs:
+        raise CliInputError("--no-pretrain with finetune_epochs 0: nothing would train")
+    for name, epochs in stages.items():
+        if not epochs:
+            print(f"warning: {name} is 0: that stage trains no step", file=sys.stderr)
 
 
 def _load_test(path: str) -> dataset.CorpusLoad:
@@ -175,6 +190,7 @@ def cmd_train(args) -> int:
     config = model.ModelConfig(src_vocab_size=vocab.src_size,
                                tgt_vocab_size=vocab.tgt_size, **cfg_kv)
     plan = train.TrainPlan(**plan_kv)
+    _check_stage_epochs(plan, pretrain=not args.no_pretrain)
     artifacts = ["checkpoint_final.mmtm", "trainlog_finetune.jsonl"]
     if not args.no_pretrain:
         artifacts = ["checkpoint_pretrain.mmtm",
@@ -229,25 +245,28 @@ def cmd_sweep(args) -> int:
         embeddings = pca_init.load_embeddings_tsv(args.embeddings)
     inits = ["scratch"] + (["pca"] if embeddings is not None else [])
     out_dir = Path(args.out)
+    csv_path = out_dir / "sweep.csv"
+    rows, done = _read_sweep_csv(csv_path)
+    cfg_kv, plan_kv = _resolve_config_plan(args, seed)
+    plan = train.TrainPlan(**plan_kv)
+    _check_stage_epochs(plan, pretrain=True)
+    vocab = dataset.build_vocab(load.records)
+    cells = []  # every cell's config is built, so checked, before a file is written
+    for dim, layers, init_kind in itertools.product(args.dims, args.layer_list, inits):
+        cfg = dict(cfg_kv, d_model=dim, n_enc_layers=layers, n_dec_layers=layers)
+        if cfg["n_heads"] >= 1 and dim % cfg["n_heads"] != 0:
+            cfg["n_heads"] = 2 if dim % 2 == 0 else 1
+        cells.append((dim, layers, init_kind, model.ModelConfig(
+            src_vocab_size=vocab.src_size, tgt_vocab_size=vocab.tgt_size, **cfg)))
     _write_manifest(out_dir, "sweep", seed,
                     {"corpus": args.corpus, "test": args.test,
                      "embeddings": args.embeddings},
                     config={"dims": args.dims, "layers": args.layer_list,
                             "inits": inits},
                     plan={}, artifacts=["sweep.csv"])
-    csv_path = out_dir / "sweep.csv"
-    rows, done = _read_sweep_csv(csv_path)
-    cfg_kv, plan_kv = _resolve_config_plan(args, seed)
-    plan = train.TrainPlan(**plan_kv)
-    vocab = dataset.build_vocab(load.records)
-    for dim, layers, init_kind in itertools.product(args.dims, args.layer_list, inits):
+    for dim, layers, init_kind, config in cells:
         if (dim, layers, init_kind) in done:
             continue
-        cfg = dict(cfg_kv, d_model=dim, n_enc_layers=layers, n_dec_layers=layers)
-        if cfg["n_heads"] >= 1 and dim % cfg["n_heads"] != 0:
-            cfg["n_heads"] = 2 if dim % 2 == 0 else 1
-        config = model.ModelConfig(src_vocab_size=vocab.src_size,
-                                   tgt_vocab_size=vocab.tgt_size, **cfg)
         result = train.train_pipeline(
             load.records, config, plan, vocab=vocab,
             embeddings=embeddings if init_kind == "pca" else None)

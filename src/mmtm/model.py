@@ -21,23 +21,25 @@ sorted-name order: dec.in.* | dec.post.* | dec.pre.* | enc.*, src_embed.
 `ParamStore.tensors` maps each name to a reshaped view of it. Training on one
 task updates the shared encoder plus that task's decoder: one span of `flat`
 for pre-order, two for in-order or post-order (`ParamStore.spans`). Gradients
-use an arena of the same layout (`zero_grads`).
+go to an arena of the same layout (`zero_grads`) or, in training, to one of
+only those tensors, whose flat is the task's spans end to end (`task_grads`).
 
 Batches are packed: every position-wise op (embedding, LayerNorm, Q/K/V/O
 projections, FFN, dropout, output projection, loss, and their backward) runs
 on (N, d) rows, one per non-PAD position of the padded source and of the
 BOS-prefixed target input. The attention core (scores, softmax, context) runs
 on cache-sized blocks of consecutive batch rows, each padded only to its own
-longest row (`_layout` gives `Block`s of a query and a key `Side`). The tape
-keeps only what backward cannot rebuild bit for bit: per sublayer the
-LayerNorm's `xhat` and scale, the projected queries, keys and values, the
-attention weights, the FFN's ReLU output, bool dropout masks, and for
-cross-attention the encoder states. Backward rebuilds each LayerNorm output
-and attention context with the forward's own expressions, and pops each
-entry as it runs, so a tape is used once. PAD gets no embedding
-gradient. The decoder stack, `_decoder_stack`, is written once: training runs
-it on a packed batch, and greedy decoding on one row per source and step,
-against cached attention keys and values.
+longest row (`_layout` gives `Block`s of a query and a key `Side`). Per
+sublayer the tape keeps the LayerNorm's `xhat` and scale, the projected
+queries, the self-attention keys and values, the attention weights, the FFN's
+ReLU output, bool dropout masks, and for cross-attention the encoder states
+(one array, shared by every decoder layer). Backward rebuilds each LayerNorm
+output, each attention context and the cross-attention keys and values with
+the forward's own expressions, and pops each entry as it runs, so a tape is
+used once. PAD gets no embedding gradient. The decoder stack,
+`_decoder_stack`, is written once: training runs it on a packed batch, and
+greedy decoding on one row per source and step, against cached attention keys
+and values.
 """
 
 from __future__ import annotations
@@ -145,6 +147,8 @@ class ModelConfig:
                                 f"n_heads={self.n_heads}")
         if self.dtype not in ("float64", "float32"):
             raise ShapeMismatch(f"unsupported dtype {self.dtype!r}")
+        if not 0 <= self.dropout < 1:  # NaN fails too
+            raise ShapeMismatch(f"dropout must be in [0, 1), got {self.dropout}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -183,6 +187,12 @@ def _variant(task: TraversalVariant | str) -> TraversalVariant:
         raise UnknownTask(f"unknown task {task!r}") from None
 
 
+def _trains(name: str, task: TraversalVariant) -> bool:
+    """Whether training on `task` updates tensor `name`: the shared encoder
+    and the task's own decoder."""
+    return not name.startswith("dec.") or name.startswith(f"dec.{task.value}.")
+
+
 @dataclass
 class ParamStore:
     config: ModelConfig
@@ -205,12 +215,12 @@ class ParamStore:
     def spans(self, task) -> tuple[tuple[int, int], ...]:
         """(start, stop) spans of `flat` that training on `task` updates: the
         shared encoder and that task's decoder, adjacent spans merged."""
-        own = f"dec.{_variant(task).value}."
+        task = _variant(task)
         spans: list[tuple[int, int]] = []
         stop = 0
         for name, view in self.tensors.items():
             start, stop = stop, stop + view.size
-            if name.startswith(own) or not name.startswith("dec."):
+            if _trains(name, task):
                 if spans and spans[-1][1] == start:
                     start = spans.pop()[0]
                 spans.append((start, stop))
@@ -454,19 +464,25 @@ def _mha_fwd(params, name, x_q, x_kv, blocks, rng, past=None):
             k, v = past
     ctx, attn = _attention(q, k, v, blocks, cfg.n_heads)
     out, keep = _dropout_fwd(ctx @ t[f"{name}.wo"], cfg.dropout, rng)
-    cache = {"name": name, "q": q, "k": k, "v": v, "attn": attn, "keep": keep,
-             "blocks": blocks}
-    if x_kv is not x_q:  # cross-attention: backward cannot rebuild the states
+    cache = {"name": name, "q": q, "attn": attn, "keep": keep, "blocks": blocks}
+    if x_kv is x_q:
+        cache.update(k=k, v=v)
+    else:  # cross-attention: backward rebuilds the keys and values from the states
         cache["x_kv"] = x_kv
     return out, cache
 
 
 def _mha_bwd(dout, cache, x_q, params, grads):
     """`x_q` is the forward's query input, rebuilt by the caller; the context
-    is rebuilt here, block by block, as the forward computed it."""
+    is rebuilt here, block by block, and cross-attention's keys and values
+    from the encoder states, as the forward computed them."""
     t, h = params.tensors, params.config.n_heads
-    name, q, k, v = cache["name"], cache["q"], cache["k"], cache["v"]
-    x_kv = cache.get("x_kv", x_q)
+    name, q = cache["name"], cache["q"]
+    if "x_kv" in cache:
+        x_kv = cache["x_kv"]
+        k, v = x_kv @ t[f"{name}.wk"], x_kv @ t[f"{name}.wv"]
+    else:
+        x_kv, k, v = x_q, cache["k"], cache["v"]
     dout = _dropout(dout, cache["keep"], params.config.dropout)
     dctx = dout @ t[f"{name}.wo"].T
     ctx, dq, dk, dv = map(np.empty_like, (q, q, k, v))
@@ -618,6 +634,19 @@ def _decoder_stack(params, key, x, caches, rng, self_blocks, cross_blocks, state
 def zero_grads(params: ParamStore) -> Arena:
     """A zeroed gradient arena with the parameters' layout."""
     return Arena(np.zeros_like(params.flat), params.tensors.shapes)
+
+
+def task_grads(params: ParamStore) -> dict[TraversalVariant, Arena]:
+    """Per task, a gradient arena of only the tensors training on it updates,
+    so its flat is `params.spans(task)` end to end. Every task's arena is a
+    view of one zeroed buffer, which each step must leave zeroed (as
+    train.Adam.step does)."""
+    shapes = params.tensors.shapes
+    own = {task: {n: s for n, s in shapes.items() if _trains(n, task)}
+           for task in params.tasks}
+    flat = np.zeros(sum(map(math.prod, own[params.tasks[0]].values())),
+                    dtype=params.flat.dtype)
+    return {task: Arena(flat, own[task]) for task in params.tasks}
 
 
 def _tape_bwd(dx, caches, params, grads):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
@@ -47,10 +48,20 @@ class TrainPlan:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pretrain_lr <= 0 or self.finetune_lr <= 0:
-            raise TrainError("learning rates must be positive")
+        for name in ("pretrain_lr", "finetune_lr", "clip_norm", "eps"):
+            value = getattr(self, name)
+            if not 0 < value <= sys.float_info.max:  # NaN and a huge int fail too
+                raise TrainError(f"{name} must be finite and positive, got {value}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:  # NaN fails too
+                raise TrainError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.batch_size < 1:
             raise TrainError("batch_size must be >= 1")
+        if min(self.pretrain_epochs, self.finetune_epochs) < 0:
+            raise TrainError("pretrain_epochs and finetune_epochs must be >= 0")
+        if self.pretrain_epochs == self.finetune_epochs == 0:
+            raise TrainError("pretrain_epochs and finetune_epochs are both 0: "
+                             "nothing would train")
 
 
 @dataclass
@@ -72,44 +83,59 @@ ADAM_CHUNK = 1 << 16
 
 class Adam:
     """Adam with global-norm gradient clipping over spans of the parameter
-    arena; the moments are arena-sized."""
+    arena. The moments cover the arena from offset `start` to its end, so
+    they hold every span the steps update: all of it when every decoder
+    trains, or from the pre-order decoder on, the arena's tail, when only it
+    and the encoder train."""
 
-    def __init__(self, plan: TrainPlan):
-        self.plan = plan
-        self.m = self.v = None  # arena-sized moments, made at the first step
+    def __init__(self, plan: TrainPlan, start: int = 0):
+        self.plan, self.start = plan, start
+        self.m = self.v = None  # made at the first step
         self.t = 0
 
     def step(self, params: ParamStore, grads: model.Arena, lr: float,
              spans: Sequence[tuple[int, int]]):
-        """Update the `spans` of params.flat, (start, stop) offsets, from the
-        gradient arena; leaves those gradients zeroed."""
-        plan = self.plan
+        """Update the `spans` of params.flat, (start, stop) offsets, from their
+        gradients: at the same offsets of a whole-model gradient arena
+        (`model.zero_grads`), or end to end in a one-task one
+        (`model.task_grads`). Leaves those gradients zeroed."""
+        plan, flat, base = self.plan, params.flat, self.start
         if self.m is None:
-            self.m, self.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
-        tmp = np.empty(max(stop - start for start, stop in spans),
-                       dtype=params.flat.dtype)
-        norm = sum(float(np.square(grads[span], out=tmp[:span[1] - span[0]]).sum())
-                   for span in spans) ** 0.5
+            self.m = np.zeros(flat.size - base, dtype=flat.dtype)
+            self.v = np.zeros_like(self.m)
+        if spans[0][0] < base:
+            raise TrainError(f"span {spans[0]} starts before the moments at {base}")
+        whole, at, parts = grads.flat.size == flat.size, 0, []
+        for start, stop in spans:  # (params, grads, m, v) views of each span
+            at = start if whole else at
+            parts.append((flat[start:stop], grads.flat[at:at + stop - start],
+                          self.m[start - base:stop - base],
+                          self.v[start - base:stop - base]))
+            at += stop - start
+        tmp = np.empty(max(p.size for p, *_ in parts), dtype=flat.dtype)
+        norm = sum(float(np.square(g, out=tmp[:g.size]).sum())
+                   for _, g, _, _ in parts) ** 0.5
         scale = plan.clip_norm / norm if norm > plan.clip_norm else 1.0
         self.t += 1
         bc1 = 1.0 - plan.beta1 ** self.t
         bc2 = 1.0 - plan.beta2 ** self.t
         # Per element, in this order: m = b1*m + (1-b1)*g;
         # v = b2*v + (1-b2)*g*g; p -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
-        for lo, hi in ((lo, min(lo + ADAM_CHUNK, stop)) for start, stop in spans
-                       for lo in range(start, stop, ADAM_CHUNK)):
-            g, m, v = grads.flat[lo:hi], self.m[lo:hi], self.v[lo:hi]
-            t = tmp[:hi - lo]
-            g *= scale
-            m *= plan.beta1
-            m += np.multiply(g, 1 - plan.beta1, out=t)
-            v *= plan.beta2
-            v += np.multiply(np.multiply(g, 1 - plan.beta2, out=t), g, out=t)
-            np.sqrt(np.divide(v, bc2, out=g), out=g)
-            g += plan.eps
-            np.multiply(np.divide(m, bc1, out=t), lr, out=t)
-            params.flat[lo:hi] -= np.divide(t, g, out=t)
-            g.fill(0.0)
+        for p_span, g_span, m_span, v_span in parts:
+            for lo in range(0, p_span.size, ADAM_CHUNK):
+                hi = lo + ADAM_CHUNK
+                p, g, m, v = p_span[lo:hi], g_span[lo:hi], m_span[lo:hi], v_span[lo:hi]
+                t = tmp[:g.size]
+                g *= scale
+                m *= plan.beta1
+                m += np.multiply(g, 1 - plan.beta1, out=t)
+                v *= plan.beta2
+                v += np.multiply(np.multiply(g, 1 - plan.beta2, out=t), g, out=t)
+                np.sqrt(np.divide(v, bc2, out=g), out=g)
+                g += plan.eps
+                np.multiply(np.divide(m, bc1, out=t), lr, out=t)
+                p -= np.divide(t, g, out=t)
+                g.fill(0.0)
 
 
 def pad_batch(examples: Sequence[TaskExample]):
@@ -134,10 +160,11 @@ def _batches(examples: list[TaskExample], batch_size: int, rng: np.random.Genera
 
 def _run_stage(params: ParamStore, opt: Adam, stage: str, lr: float,
                epochs: Iterable[list[list[TaskExample]]], drop_seed: int) -> TrainLog:
-    """One step per batch of each epoch's batch list, on one gradient arena. A
-    batch updates the shared encoder and its task's decoder: fixed arena spans."""
+    """One step per batch of each epoch's batch list. A batch updates the
+    shared encoder and its task's decoder, fixed arena spans, so its gradients
+    go to a buffer of those spans only, one buffer for every task."""
     drop_rng = np.random.default_rng(drop_seed) if params.config.dropout > 0 else None
-    grads = model.zero_grads(params)
+    grads = model.task_grads(params)
     spans = {task: params.spans(task) for task in params.tasks}
     log = TrainLog()
     for epoch, batches in enumerate(epochs):
@@ -146,10 +173,10 @@ def _run_stage(params: ParamStore, opt: Adam, stage: str, lr: float,
             task = batch[0].task
             src, tgt = pad_batch(batch)
             value, _ = model.loss_and_grads_batch(params, task, src, tgt,
-                                                  rng=drop_rng, grads=grads)
+                                                  rng=drop_rng, grads=grads[task])
             if not np.isfinite(value):
                 raise NonFiniteLoss(f"{stage} step {len(log.steps)}: loss={value}")
-            opt.step(params, grads, lr, spans[task])
+            opt.step(params, grads[task], lr, spans[task])
             log.steps.append(dict(stage=stage, epoch=epoch, step=len(log.steps),
                                   task=task.value, loss=value))
             losses.append(value)
@@ -191,8 +218,9 @@ def finetune(
     rng = np.random.default_rng(plan.seed + 2)
     epochs = (_batches(preorder_dataset, plan.batch_size, rng)
               for _ in range(plan.finetune_epochs))
-    return params, _run_stage(params, Adam(plan), "finetune",
-                              plan.finetune_lr, epochs, plan.seed + 3)
+    opt = Adam(plan, params.spans(TraversalVariant.PRE_ORDER)[0][0])
+    return params, _run_stage(params, opt, "finetune", plan.finetune_lr, epochs,
+                              plan.seed + 3)
 
 
 @dataclass

@@ -229,6 +229,46 @@ class TestTrain:
         assert rc == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content,message", [
+        ({"dropout": 1.5}, "dropout must be in [0, 1), got 1.5"),
+        ({"dropout": -1}, "dropout must be in [0, 1), got -1"),
+        ({"dropout": 1.0}, "dropout must be in [0, 1), got 1.0"),
+        ({"pretrain_epochs": -3}, "pretrain_epochs and finetune_epochs must be >= 0"),
+        ({"pretrain_epochs": 0, "finetune_epochs": 0}, "are both 0"),
+        ({"pretrain_lr": math.nan}, "pretrain_lr must be finite and positive, got nan"),
+        ({"finetune_lr": math.inf}, "finetune_lr must be finite and positive, got inf"),
+        ({"clip_norm": -1}, "unknown key(s) 'clip_norm'"),
+        ({"beta1": 1.5}, "unknown key(s) 'beta1'"),
+        ({"d_modle": 8, "seed": 3}, "unknown key(s) 'd_modle', 'seed'"),
+    ])
+    def test_config_value_out_of_range_exit_2(self, corpus_path, tmp_path, capsys,
+                                              content, message):
+        """Each once trained anyway (exit 0), or failed as a numeric fault
+        (exit 4: dropout 1.0, a NaN or infinite lr). A key outside the option
+        table was dropped, so {"d_modle": 8} trained at the default width."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(content))  # writes NaN and Infinity, as json reads
+        rc = cli.main(["train", "--corpus", str(corpus_path), "--config", str(cfg),
+                       "--dim", "8", "--heads", "2", "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_finetune_epochs_says_so(self, corpus_path, tmp_path, capsys):
+        """{"finetune_epochs": 0} once trained no fine-tuning step without a word."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"finetune_epochs": 0}))
+        args = ["train", "--corpus", str(corpus_path), "--config", str(cfg), "--dim",
+                "8", "--heads", "2", "--batch-size", "8", "--out", str(tmp_path / "o")]
+        assert cli.main(args) == 0
+        assert "warning: finetune_epochs is 0" in capsys.readouterr().err
+        final = checkpoint.load(tmp_path / "o" / "checkpoint_final.mmtm")
+        pretrained = checkpoint.load(tmp_path / "o" / "checkpoint_pretrain.mmtm")
+        assert final.params.flat.tobytes() == pretrained.params.flat.tobytes()
+        assert cli.main(args[:-1] + [str(tmp_path / "np"), "--no-pretrain"]) == 2
+        assert "nothing would train" in capsys.readouterr().err
+        assert not (tmp_path / "np").exists()
+
     def test_embeddings_header_not_a_width_exit_2(self, corpus_path, tmp_path,
                                                   capsys):
         emb = tmp_path / "emb.tsv"
@@ -608,6 +648,27 @@ class TestSweepInputs:
         monkeypatch.setattr(train, "train_pipeline", spy)
         assert self.sweep(corpus_path, test_path, tmp_path / "s", "--dims", "6") == 0
         assert heads == [2]
+
+    @pytest.mark.parametrize("content,message", [
+        ({"d_model": "x"}, "'d_model' must be int, got 'x'"),
+        ({"dropout": 1.5}, "dropout must be in [0, 1), got 1.5"),
+        ({"finetune_lr": -1}, "finetune_lr must be finite and positive"),
+        ({"d_modle": 8}, "unknown key(s) 'd_modle'"),
+    ])
+    def test_rejected_rerun_keeps_the_manifest(self, corpus_path, test_path, tmp_path,
+                                               capsys, content, message):
+        """A rerun that exits 2 once replaced the manifest of the run whose
+        rows sweep.csv holds."""
+        out, cfg = tmp_path / "s", tmp_path / "cfg.json"
+        assert self.sweep(corpus_path, test_path, out, "--seed", "4") == 0
+        manifest, rows = (out / "manifest.json").read_bytes(), \
+            (out / "sweep.csv").read_bytes()
+        cfg.write_text(json.dumps(content))
+        assert self.sweep(corpus_path, test_path, out, "--seed", "9",
+                          "--config", str(cfg)) == 2
+        assert message in capsys.readouterr().err
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert (out / "sweep.csv").read_bytes() == rows
 
     @pytest.mark.parametrize("content,message", [
         ("dim,layers,init,accuracy\nx,1,scratch,0.5\n",

@@ -1,7 +1,9 @@
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +45,32 @@ class TestPlan:
     def test_rejects_nonpositive_lr(self):
         with pytest.raises(train.TrainError):
             train.TrainPlan(pretrain_lr=0.0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("pretrain_lr", float("nan"), "pretrain_lr must be finite and positive"),
+        ("finetune_lr", float("inf"), "finetune_lr must be finite and positive"),
+        pytest.param("finetune_lr", 10**400, "finetune_lr must be finite and positive",
+                     id="finetune_lr-int-past-float"),
+        ("clip_norm", -1.0, "clip_norm must be finite and positive"),
+        ("clip_norm", 0.0, "clip_norm must be finite and positive"),
+        ("eps", float("nan"), "eps must be finite and positive"),
+        ("beta1", 1.5, r"beta1 must be in \[0, 1\)"),
+        ("beta1", 1.0, r"beta1 must be in \[0, 1\)"),
+        ("beta2", -0.1, r"beta2 must be in \[0, 1\)"),
+        ("beta2", float("nan"), r"beta2 must be in \[0, 1\)"),
+        ("pretrain_epochs", -3, "must be >= 0"),
+        ("finetune_epochs", -1, "must be >= 0"),
+    ])
+    def test_rejects_out_of_range_field(self, field, value, message):
+        with pytest.raises(train.TrainError, match=message):
+            train.TrainPlan(**{field: value})
+
+    def test_one_stage_may_have_no_epoch_but_not_both(self):
+        train.TrainPlan(pretrain_epochs=0)
+        train.TrainPlan(finetune_epochs=0)
+        train.TrainPlan(beta1=0.0, beta2=0.0)
+        with pytest.raises(train.TrainError, match="both 0"):
+            train.TrainPlan(pretrain_epochs=0, finetune_epochs=0)
 
 
 class TestPretrain:
@@ -202,6 +230,82 @@ class TestAdamParity:
                           - params.flat.__array_interface__["data"][0]) // 8
                 assert covered[offset:offset + view.size].all() == trainable
                 assert covered[offset:offset + view.size].any() == trainable
+
+
+def reference_stages(params, examples, plan):
+    """pretrain_multitask then finetune as one plain loop: a whole-model
+    gradient arena and arena-sized moments for each stage."""
+    rng = np.random.default_rng(plan.seed)
+    pretrain = []
+    for _ in range(plan.pretrain_epochs):
+        per_task = [train._batches(examples[v], plan.batch_size, rng)
+                    for v in TraversalVariant]
+        pretrain += [b for row in itertools.zip_longest(*per_task)
+                     for b in row if b is not None]
+    rng = np.random.default_rng(plan.seed + 2)
+    finetune = [b for _ in range(plan.finetune_epochs) for b in
+                train._batches(examples[TraversalVariant.PRE_ORDER], plan.batch_size,
+                               rng)]
+    for lr, batches, drop_seed in ((plan.pretrain_lr, pretrain, plan.seed + 1),
+                                   (plan.finetune_lr, finetune, plan.seed + 3)):
+        opt, grads = train.Adam(plan), model.zero_grads(params)
+        drop_rng = np.random.default_rng(drop_seed)
+        for batch in batches:
+            src, tgt = train.pad_batch(batch)
+            model.loss_and_grads_batch(params, batch[0].task, src, tgt, rng=drop_rng,
+                                       grads=grads)
+            opt.step(params, grads, lr, params.spans(batch[0].task))
+
+
+class TestStageState:
+    """Each stage holds one task's gradients, and fine-tuning holds moments for
+    the pre-order decoder and the encoder only."""
+
+    def test_state_is_sized_to_the_trained_spans(self, monkeypatch):
+        """Per step: the gradient buffer's values, the spans and the moments'
+        sizes. Both stages once kept a whole-model gradient arena, and
+        fine-tuning arena-sized moments."""
+        step, seen = train.Adam.step, []
+
+        def spy(opt, params, grads, lr, spans):
+            step(opt, params, grads, lr, spans)
+            seen.append((grads.flat, spans, opt.m.size, opt.v.size))
+
+        monkeypatch.setattr(train.Adam, "step", spy)
+        _, _, cfg, examples = small_setup()
+        params = model.init_params(cfg)
+        plan = train.TrainPlan(batch_size=4, finetune_epochs=1, seed=1)
+        train.pretrain_multitask(params, examples, plan)
+        assert {spans for _, spans, _, _ in seen} == set(map(params.spans,
+                                                             TraversalVariant))
+        for grads, spans, m, v in seen:
+            assert grads.size == sum(stop - start for start, stop in spans)
+            assert np.shares_memory(grads, seen[0][0])  # one buffer for every task
+            assert m == v == params.size()  # every decoder trains
+        del seen[:]
+        train.finetune(params, examples[TraversalVariant.PRE_ORDER], plan)
+        [(start, stop)] = params.spans(TraversalVariant.PRE_ORDER)
+        assert stop == params.size()  # the arena's tail
+        assert seen and all(spans == ((start, stop),) and grads.size == m == v
+                            == stop - start for grads, spans, m, v in seen)
+        with pytest.raises(train.TrainError, match="starts before the moments"):
+            train.Adam(plan, start).step(params, model.zero_grads(params), 1e-3,
+                                         params.spans(TraversalVariant.IN_ORDER))
+
+    @pytest.mark.parametrize("clip_norm", [1e9, 1e-3], ids=["unclipped", "clipped"])
+    def test_stages_bit_identical_to_whole_arena_loop(self, clip_norm):
+        _, _, cfg, examples = small_setup(dropout=0.1)
+        plan = train.TrainPlan(pretrain_epochs=2, finetune_epochs=2, batch_size=4,
+                               pretrain_lr=1e-3, finetune_lr=1e-3,
+                               clip_norm=clip_norm, seed=3)
+        params, ref = model.init_params(cfg), model.init_params(cfg)
+        train.pretrain_multitask(params, examples, plan)
+        train.finetune(params, examples[TraversalVariant.PRE_ORDER], plan)
+        reference_stages(ref, examples, plan)
+        assert params.flat.tobytes() == ref.flat.tobytes()
+        unclipped = model.init_params(cfg)  # clipping engaged: the result moved
+        reference_stages(unclipped, examples, replace(plan, clip_norm=1e9))
+        assert (unclipped.flat.tobytes() == ref.flat.tobytes()) == (clip_norm == 1e9)
 
 
 class TestLengthQuarantine:
