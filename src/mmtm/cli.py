@@ -92,6 +92,7 @@ OPTIONS = {
     "finetune_epochs": "--finetune-epochs", "pretrain_lr": "--pretrain-lr",
     "finetune_lr": "--finetune-lr",
 }
+GRID_FLAGS = ("--dim", "--layers")  # sweep sets their fields from its grid
 _DEFAULTS = {f.name: f.default for cls in (train.TrainPlan, model.ModelConfig)
              for f in dataclasses.fields(cls)}
 
@@ -103,6 +104,8 @@ def _read_config_file(path: str) -> dict:
         file_cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except RecursionError:
         raise CliInputError(f"config file {path} nests too deeply") from None
+    except ValueError as e:  # not UTF-8, not JSON, or an int past 4300 digits
+        raise CliInputError(f"config file {path}: {e}") from None
     if not isinstance(file_cfg, dict):
         raise CliInputError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(file_cfg) - set(OPTIONS))
@@ -120,7 +123,8 @@ def _read_config_file(path: str) -> dict:
 
 def _resolve_config_plan(args, seed: int):
     """(ModelConfig fields, TrainPlan fields), each with the seed: every
-    ModelConfig field in OPTIONS, and the TrainPlan fields a file or flag sets."""
+    ModelConfig field in OPTIONS, and the TrainPlan fields a file or flag sets;
+    `--no-pretrain` sets pretrain_epochs to 0."""
     cfg = {f.name: f.default for f in dataclasses.fields(model.ModelConfig)
            if f.name in OPTIONS}
     plan = {}
@@ -130,20 +134,29 @@ def _resolve_config_plan(args, seed: int):
         value = file_values.get(field) if value is None else value
         if value is not None:
             (cfg if field in cfg else plan)[field] = value
+    if vars(args).get("no_pretrain"):  # the no-pre-training arm
+        plan["pretrain_epochs"] = 0
     cfg["seed"] = plan["seed"] = seed
     return cfg, plan
 
 
-def _check_stage_epochs(plan: train.TrainPlan, pretrain: bool):
-    """Refuse a run that trains no epoch; warn of a stage that trains none."""
-    stages = {"finetune_epochs": plan.finetune_epochs}
-    if pretrain:
-        stages["pretrain_epochs"] = plan.pretrain_epochs
-    elif not plan.finetune_epochs:
-        raise CliInputError("--no-pretrain with finetune_epochs 0: nothing would train")
-    for name, epochs in stages.items():
-        if not epochs:
-            print(f"warning: {name} is 0: that stage trains no step", file=sys.stderr)
+def _prepare_run(args):
+    """What `train` and `sweep` decide before they write anything: (seed,
+    corpus load, embeddings, ModelConfig fields, TrainPlan fields, plan,
+    vocabulary). A corpus with no valid record is refused."""
+    seed = _seed(args)
+    load = dataset.load_corpus(args.corpus)
+    if not load.records:
+        raise CliInputError("corpus has no valid records")
+    embeddings = (pca_init.load_embeddings_tsv(args.embeddings)
+                  if args.embeddings else None)
+    cfg_kv, plan_kv = _resolve_config_plan(args, seed)
+    plan = train.TrainPlan(**plan_kv)
+    if not plan.finetune_epochs:
+        print("warning: finetune_epochs is 0: that stage trains no step",
+              file=sys.stderr)
+    return (seed, load, embeddings, cfg_kv, plan_kv, plan,
+            dataset.build_vocab(load.records))
 
 
 def _load_test(path: str) -> dataset.CorpusLoad:
@@ -177,29 +190,19 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
-    seed = _seed(args)
-    load = dataset.load_corpus(args.corpus)
-    if not load.records:
-        raise CliInputError("corpus has no valid records")
-    embeddings = None
-    if args.embeddings:
-        embeddings = pca_init.load_embeddings_tsv(args.embeddings)
-    out_dir = Path(args.out)
-    cfg_kv, plan_kv = _resolve_config_plan(args, seed)
-    vocab = dataset.build_vocab(load.records)
+    seed, load, embeddings, cfg_kv, plan_kv, plan, vocab = _prepare_run(args)
     config = model.ModelConfig(src_vocab_size=vocab.src_size,
                                tgt_vocab_size=vocab.tgt_size, **cfg_kv)
-    plan = train.TrainPlan(**plan_kv)
-    _check_stage_epochs(plan, pretrain=not args.no_pretrain)
+    out_dir = Path(args.out)
     artifacts = ["checkpoint_final.mmtm", "trainlog_finetune.jsonl"]
-    if not args.no_pretrain:
+    if plan.pretrain_epochs:
         artifacts = ["checkpoint_pretrain.mmtm",
                      "trainlog_pretrain.jsonl"] + artifacts
     _write_manifest(out_dir, "train", seed,
                     {"corpus": args.corpus, "embeddings": args.embeddings},
                     config=cfg_kv, plan=plan_kv, artifacts=artifacts)
     result = train.train_pipeline(load.records, config, plan, vocab=vocab,
-                                  embeddings=embeddings, pretrain=not args.no_pretrain)
+                                  embeddings=embeddings)
     if result.pretrain_params is not None:
         checkpoint.save(out_dir / "checkpoint_pretrain.mmtm",
                         result.pretrain_params, result.trained.vocab)
@@ -237,20 +240,12 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    seed = _seed(args)
-    load = dataset.load_corpus(args.corpus)
+    seed, load, embeddings, cfg_kv, plan_kv, plan, vocab = _prepare_run(args)
     test = _load_test(args.test)
-    embeddings = None
-    if args.embeddings:
-        embeddings = pca_init.load_embeddings_tsv(args.embeddings)
     inits = ["scratch"] + (["pca"] if embeddings is not None else [])
     out_dir = Path(args.out)
     csv_path = out_dir / "sweep.csv"
     rows, done = _read_sweep_csv(csv_path)
-    cfg_kv, plan_kv = _resolve_config_plan(args, seed)
-    plan = train.TrainPlan(**plan_kv)
-    _check_stage_epochs(plan, pretrain=True)
-    vocab = dataset.build_vocab(load.records)
     cells = []  # every cell's config is built, so checked, before a file is written
     for dim, layers, init_kind in itertools.product(args.dims, args.layer_list, inits):
         cfg = dict(cfg_kv, d_model=dim, n_enc_layers=layers, n_dec_layers=layers)
@@ -258,12 +253,13 @@ def cmd_sweep(args) -> int:
             cfg["n_heads"] = 2 if dim % 2 == 0 else 1
         cells.append((dim, layers, init_kind, model.ModelConfig(
             src_vocab_size=vocab.src_size, tgt_vocab_size=vocab.tgt_size, **cfg)))
+    options = {k: v for k, v in cfg_kv.items() if OPTIONS.get(k) not in GRID_FLAGS}
     _write_manifest(out_dir, "sweep", seed,
                     {"corpus": args.corpus, "test": args.test,
                      "embeddings": args.embeddings},
                     config={"dims": args.dims, "layers": args.layer_list,
-                            "inits": inits},
-                    plan={}, artifacts=["sweep.csv"])
+                            "inits": inits, **options},
+                    plan=plan_kv, artifacts=["sweep.csv"])
     for dim, layers, init_kind, config in cells:
         if (dim, layers, init_kind) in done:
             continue
@@ -334,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--corpus", required=True)
     p.add_argument("--embeddings", help="pretrained embedding TSV for PCA init")
     p.add_argument("--no-pretrain", action="store_true",
-                   help="skip multi-task pretraining (ablation arm)")
+                   help="pretrain_epochs 0, whatever else sets it (ablation arm)")
     p.add_argument("--out", required=True)
     add_train_options(p)
     p.set_defaults(func=cmd_train)
@@ -356,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list, e.g. 1,2")
     p.add_argument("--embeddings")
     p.add_argument("--out", required=True)
-    add_train_options(p, grid_flags=("--dim", "--layers"))
+    add_train_options(p, grid_flags=GRID_FLAGS)
     p.set_defaults(func=cmd_sweep)
 
     return parser
@@ -371,8 +367,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_NUMERIC
     except (CliInputError, dataset.DatasetError, pca_init.PcaError, model.ModelError,
-            train.TrainError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as e:
+            train.TrainError, OSError, UnicodeDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except checkpoint.CheckpointError as e:

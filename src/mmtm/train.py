@@ -1,9 +1,11 @@
 """Two-stage training: multi-task pre-training, then pre-order fine-tuning.
 
-Pre-training draws homogeneous batches round-robin over the three traversal
-tasks; every batch updates the shared encoder plus that task's decoder only.
-Fine-tuning drops the in-order/post-order decoders: their arena spans are never
-touched, which tests assert by checksum.
+Both stages are one loop, `_run_stage`, over the stage's tasks: all three
+traversals, taken round-robin in homogeneous batches, to pre-train; pre-order
+alone to fine-tune. Every batch updates the shared encoder plus that task's
+decoder only, so fine-tuning never touches the in-order/post-order decoders'
+arena spans, which tests assert by checksum. A plan with `pretrain_epochs` 0
+is the no-pre-training arm: its model has the pre-order decoder only.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import itertools
 import json
 import sys
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -84,9 +86,7 @@ ADAM_CHUNK = 1 << 16
 class Adam:
     """Adam with global-norm gradient clipping over spans of the parameter
     arena. The moments cover the arena from offset `start` to its end, so
-    they hold every span the steps update: all of it when every decoder
-    trains, or from the pre-order decoder on, the arena's tail, when only it
-    and the encoder train."""
+    every span the steps update must start at or after it."""
 
     def __init__(self, plan: TrainPlan, start: int = 0):
         self.plan, self.start = plan, start
@@ -158,18 +158,30 @@ def _batches(examples: list[TaskExample], batch_size: int, rng: np.random.Genera
     ]
 
 
-def _run_stage(params: ParamStore, opt: Adam, stage: str, lr: float,
-               epochs: Iterable[list[list[TaskExample]]], drop_seed: int) -> TrainLog:
-    """One step per batch of each epoch's batch list. A batch updates the
-    shared encoder and its task's decoder, fixed arena spans, so its gradients
-    go to a buffer of those spans only, one buffer for every task."""
-    drop_rng = np.random.default_rng(drop_seed) if params.config.dropout > 0 else None
+def _run_stage(params: ParamStore, plan: TrainPlan, stage: str,
+               tasks: Sequence[TraversalVariant],
+               examples: dict[TraversalVariant, list[TaskExample]],
+               epochs: int, lr: float, seed: int) -> TrainLog:
+    """A stage: `epochs` passes over each task's examples, in batches drawn
+    from `seed` and taken round-robin over `tasks`; dropout draws from
+    `seed + 1`. A batch updates the shared encoder and its task's decoder,
+    fixed arena spans, so its gradients go to a buffer of those spans only,
+    one buffer for every task, and Adam's moments start at the first span
+    any of `tasks` trains."""
+    for task in tasks:
+        if not examples.get(task):
+            raise EmptyTaskDataset(f"no examples for task {task.value!r}")
+    rng = np.random.default_rng(seed)
+    drop_rng = np.random.default_rng(seed + 1) if params.config.dropout > 0 else None
     grads = model.task_grads(params)
-    spans = {task: params.spans(task) for task in params.tasks}
+    spans = {task: params.spans(task) for task in tasks}
+    opt = Adam(plan, min(s[0][0] for s in spans.values()))
     log = TrainLog()
-    for epoch, batches in enumerate(epochs):
+    for epoch in range(epochs):
+        per_task = [_batches(examples[task], plan.batch_size, rng) for task in tasks]
         losses = []
-        for batch in batches:
+        for batch in [batch for row in itertools.zip_longest(*per_task)
+                      for batch in row if batch is not None]:
             task = batch[0].task
             src, tgt = pad_batch(batch)
             value, _ = model.loss_and_grads_batch(params, task, src, tgt,
@@ -191,20 +203,9 @@ def pretrain_multitask(
     plan: TrainPlan,
 ) -> tuple[ParamStore, TrainLog]:
     """Round-robin homogeneous-task batches through the three decoders."""
-    for variant in TraversalVariant:
-        if not datasets.get(variant):
-            raise EmptyTaskDataset(f"no examples for task {variant.value!r}")
-    rng = np.random.default_rng(plan.seed)
-
-    def epochs():
-        for _ in range(plan.pretrain_epochs):
-            per_task = [_batches(datasets[v], plan.batch_size, rng)
-                        for v in TraversalVariant]
-            yield [batch for row in itertools.zip_longest(*per_task)
-                   for batch in row if batch is not None]
-
-    return params, _run_stage(params, Adam(plan), "pretrain",
-                              plan.pretrain_lr, epochs(), plan.seed + 1)
+    return params, _run_stage(params, plan, "pretrain", tuple(TraversalVariant),
+                              datasets, plan.pretrain_epochs, plan.pretrain_lr,
+                              plan.seed)
 
 
 def finetune(
@@ -213,14 +214,10 @@ def finetune(
     plan: TrainPlan,
 ) -> tuple[ParamStore, TrainLog]:
     """Update the encoder and pre-order decoder only."""
-    if not preorder_dataset:
-        raise EmptyTaskDataset("no pre-order examples")
-    rng = np.random.default_rng(plan.seed + 2)
-    epochs = (_batches(preorder_dataset, plan.batch_size, rng)
-              for _ in range(plan.finetune_epochs))
-    opt = Adam(plan, params.spans(TraversalVariant.PRE_ORDER)[0][0])
-    return params, _run_stage(params, opt, "finetune", plan.finetune_lr, epochs,
-                              plan.seed + 3)
+    pre = TraversalVariant.PRE_ORDER
+    return params, _run_stage(params, plan, "finetune", (pre,),
+                              {pre: preorder_dataset}, plan.finetune_epochs,
+                              plan.finetune_lr, plan.seed + 2)
 
 
 @dataclass
@@ -257,11 +254,12 @@ def train_pipeline(
     plan: TrainPlan,
     vocab: Optional[Vocab] = None,
     embeddings: Optional[pca_init.PretrainedEmbeddings] = None,
-    pretrain: bool = True,
 ) -> PipelineResult:
     """Build the vocabulary from every record given (unless `vocab` is), then
     quarantine over-length records, init (optionally from PCA of pretrained
-    embeddings), pretrain over all three tasks and fine-tune on pre-order."""
+    embeddings), pretrain over all three tasks and fine-tune on pre-order.
+    With `plan.pretrain_epochs` 0 the model has the pre-order decoder only,
+    and nothing pre-trains."""
     vocab = vocab or dataset.build_vocab(records)
     records, quarantined = split_by_length(records, config)
     config = replace(config, src_vocab_size=vocab.src_size,
@@ -270,11 +268,11 @@ def train_pipeline(
     if embeddings is not None:
         embedding_init = pca_init.init_vocab_embeddings(
             vocab, embeddings, config.d_model, seed=config.seed)
+    pretrain = plan.pretrain_epochs > 0
     tasks = tuple(TraversalVariant) if pretrain else (TraversalVariant.PRE_ORDER,)
     params = model.init_params(config, embedding_init=embedding_init, tasks=tasks)
     examples = dataset.augment_corpus(records, vocab)
-    pre_log = None
-    pre_snapshot = None
+    pre_log = pre_snapshot = None
     if pretrain:
         params, pre_log = pretrain_multitask(params, examples, plan)
         pre_snapshot = params.copy()
@@ -302,17 +300,17 @@ def run_ablation(
     """Toggle exactly one factor relative to the full configuration."""
     if arm not in ABLATION_ARMS:
         raise TrainError(f"unknown ablation arm {arm!r}")
-    pretrain = arm != "no_pretrain"
     arm_embeddings = None if arm == "scratch_embeddings" else embeddings
     if arm == "dim768":
         config = replace(config, d_model=768, d_ffn=4 * 768)
-    result = train_pipeline(train_records, config, plan,
-                            embeddings=arm_embeddings, pretrain=pretrain)
+    if arm == "no_pretrain":
+        plan = replace(plan, pretrain_epochs=0)
+    result = train_pipeline(train_records, config, plan, embeddings=arm_embeddings)
     report = evaluate.score(result.trained, test_records)
     return {
         "arm": arm,
         "d_model": result.trained.config.d_model,
-        "pretrained": pretrain,
+        "pretrained": result.pretrain_log is not None,
         "embedding_init": "pca" if arm_embeddings is not None else "random",
         "report": report,
         "model": result.trained,

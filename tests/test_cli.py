@@ -2,9 +2,13 @@ import dataclasses
 import json
 import math
 import struct
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mmtm import checkpoint, cli, dataset, evaluate, model, pca_init, synth, train
 from mmtm.pca_init import PretrainedEmbeddings
@@ -79,6 +83,24 @@ class TestTrain:
         assert rc == 0
         assert not (tmp_path / "checkpoint_pretrain.mmtm").exists()
         assert (tmp_path / "checkpoint_final.mmtm").exists()
+
+    def test_zero_pretrain_epochs_is_the_no_pretrain_arm(self, corpus_path, tmp_path):
+        """--pretrain-epochs 0 once kept the two untrained decoders in the final
+        checkpoint and wrote a pre-training checkpoint of the initial weights."""
+        for sub, extra in (("zero", ["--pretrain-epochs", "0"]),
+                           ("none", ["--no-pretrain"])):
+            argv = ["train", "--corpus", str(corpus_path)]
+            assert cli.main(argv + fast_train_flags(tmp_path / sub) + extra) == 0
+        zero, none = tmp_path / "zero", tmp_path / "none"
+        for name in ("checkpoint_final.mmtm", "trainlog_finetune.jsonl"):
+            assert (zero / name).read_bytes() == (none / name).read_bytes()
+        assert sorted(p.name for p in zero.iterdir()) == [
+            "checkpoint_final.mmtm", "manifest.json", "trainlog_finetune.jsonl"]
+        for out in (zero, none):
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["plan"]["pretrain_epochs"] == 0
+            assert manifest["artifacts"] == ["checkpoint_final.mmtm",
+                                             "trainlog_finetune.jsonl"]
 
     def test_idempotent_given_same_seed(self, corpus_path, tmp_path):
         for sub in ("a", "b"):
@@ -252,6 +274,17 @@ class TestTrain:
                        "--dim", "8", "--heads", "2", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_int_past_digit_limit_exit_2(self, corpus_path, tmp_path, capsys):
+        """json.loads raised a ValueError that ended in a traceback."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"batch_size": 1' + "0" * 5000 + "}", encoding="utf-8")
+        rc = cli.main(["train", "--corpus", str(corpus_path), "--config", str(cfg),
+                       "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert f"config file {cfg}: Exceeds the limit (4300 digits)" in \
+            capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_zero_finetune_epochs_says_so(self, corpus_path, tmp_path, capsys):
@@ -548,6 +581,15 @@ class TestEntryDecisions:
             for field, flag in cli.OPTIONS.items()}
         assert cfg["n_enc_layers"] == cfg["n_dec_layers"] == flags["--layers"]
 
+    def test_readme_flag_table_names_every_option(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        table = readme[readme.index("| Flag | Config-file key |"):].split("\n\n")[0]
+        rows = [[cell.strip().strip("`") for cell in line.split("|")[1:3]]
+                for line in table.splitlines()[2:]]
+        assert {key for _, key in rows} - {"—"} == set(cli.OPTIONS)
+        assert {flag for flag, _ in rows} - {"—"} == set(cli.OPTIONS.values()) - {None}
+        assert all(cli.OPTIONS[key] == flag for flag, key in rows if "—" not in (flag, key))
+
     def test_pipeline_vocab_and_arena_match_cli_train(self, tmp_path):
         """30 records and one question over max_src_len: train_pipeline once
         built its vocabulary from the 30 kept records only (78 source tokens)."""
@@ -607,6 +649,83 @@ class TestEntryDecisions:
         assert checkpoint.load(path).params.flat.dtype == np.float32
         assert cli.main(["eval", "--checkpoint", str(path), "--test",
                          str(test_path)]) == 0
+
+
+HUGE_INT = object()  # written as a 5001-digit integer, past json's 4300-digit limit
+
+
+def _finite_positive(v):
+    return 0 < v <= sys.float_info.max
+
+
+# Each option's documented range (README's flag table), and a few values in it
+# that keep a run small; huge ones only where they cost nothing.
+OPTION_RANGES = {
+    "d_model": (lambda v: v >= 1, [4, 8, 16]),
+    "n_enc_layers": (lambda v: v >= 1, [1, 2]),
+    "n_dec_layers": (lambda v: v >= 1, [1, 2]),
+    "n_heads": (lambda v: v >= 1, [1, 2, 4, 3]),
+    "dtype": (lambda v: v in ("float64", "float32"), ["float64", "float32"]),
+    "dropout": (lambda v: 0 <= v < 1, [0, 0.0, 0.1, 0.9]),
+    "max_src_len": (lambda v: v >= 1, [128, 64, 10**40, 1]),
+    "max_tgt_len": (lambda v: v >= 1, [48, 24, 10**40, 3]),
+    "batch_size": (lambda v: v >= 1, [1, 8, 10**40]),
+    "pretrain_epochs": (lambda v: v >= 0, [1, 0]),
+    "finetune_epochs": (lambda v: v >= 0, [1, 0]),
+    "pretrain_lr": (_finite_positive, [1e-5, 1e-3, 1e300]),
+    "finetune_lr": (_finite_positive, [1e-4, 1, 10**40]),
+}
+OTHER_VALUES = [True, False, None, "8", "float16", [], {"d_model": 8}, 0, -1, 1.5,
+                -0.0, 10**40, -10**40, math.nan, math.inf, -math.inf, HUGE_INT]
+
+
+def documented(field, value) -> bool:
+    """Whether `value` is of the field's type and in its documented range."""
+    kind = type(cli._DEFAULTS[field])
+    if value is HUGE_INT or isinstance(value, bool) or not isinstance(
+            value, (int, float) if kind is float else kind):
+        return False
+    return OPTION_RANGES[field][0](value)
+
+
+@st.composite
+def config_files(draw):
+    """Every option at a value in range; then in most files one to three of
+    them set to any other value."""
+    cfg = {f: draw(st.sampled_from(OPTION_RANGES[f][1])) for f in cli.OPTIONS}
+    n = draw(st.sampled_from([0, 0, 1, 2, 3]))
+    for field in draw(st.lists(st.sampled_from(list(cli.OPTIONS)), min_size=n,
+                               max_size=n)):
+        cfg[field] = draw(st.sampled_from(OTHER_VALUES).filter(
+            lambda v, f=field: not documented(f, v)))
+    return cfg
+
+
+class TestConfigFileProperty:
+    def test_option_table_is_covered(self):
+        assert set(OPTION_RANGES) == set(cli.OPTIONS)
+
+    @settings(max_examples=100)
+    @given(cfg=config_files())
+    def test_any_config_file_exits_0_2_or_4(self, corpus_path, cfg):
+        """Every config file ends in a documented exit code, never a traceback;
+        a value outside its range, or a run outside the joint ranges (width a
+        multiple of the heads, some epoch trained), exits 2 before writing."""
+        text = json.dumps(cfg, default=lambda _: "__huge__").replace(
+            '"__huge__"', "1" + "0" * 5000)
+        outside = (not all(documented(f, v) for f, v in cfg.items())
+                   or cfg["d_model"] % cfg["n_heads"] != 0
+                   or cfg["pretrain_epochs"] == cfg["finetune_epochs"] == 0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp, "cfg.json"), Path(tmp, "o")
+            path.write_text(text, encoding="utf-8")
+            with np.errstate(over="ignore", invalid="ignore"):  # a huge lr overflows
+                rc = cli.main(["train", "--corpus", str(corpus_path), "--config",
+                               str(path), "--out", str(out)])
+            if outside:
+                assert (rc, out.exists()) == (2, False)
+            else:
+                assert rc in (0, 2, 4)
 
 
 class TestSweepInputs:
@@ -686,3 +805,31 @@ class TestSweepInputs:
         err = capsys.readouterr().err
         assert f"cannot resume from {out / 'sweep.csv'}: {message}" in err
         assert (out / "sweep.csv").read_text(encoding="utf-8") == content
+
+    def test_corpus_without_valid_record_refused_before_writing(
+            self, corpus_path, test_path, tmp_path, capsys):
+        """sweep once rewrote the manifest, then exited 2 with "no examples for
+        task 'pre'"."""
+        out, bad = tmp_path / "s", tmp_path / "bad.jsonl"
+        assert self.sweep(corpus_path, test_path, out) == 0
+        manifest, rows = (out / "manifest.json").read_bytes(), \
+            (out / "sweep.csv").read_bytes()
+        bad.write_text("not json at all\n", encoding="utf-8")
+        assert self.sweep(bad, test_path, out, "--seed", "9") == 2
+        assert "error: corpus has no valid records" in capsys.readouterr().err
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert (out / "sweep.csv").read_bytes() == rows
+
+    def test_manifest_records_plan_and_options(self, corpus_path, test_path, tmp_path):
+        """The manifest once held the grid alone, and an empty plan."""
+        out = tmp_path / "s"
+        assert self.sweep(corpus_path, test_path, out, "--heads", "2",
+                          "--pretrain-epochs", "2", "--seed", "5") == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["plan"] == {"batch_size": 8, "pretrain_epochs": 2,
+                                    "finetune_epochs": 1, "seed": 5}
+        defaults = {f.name: f.default for f in dataclasses.fields(model.ModelConfig)}
+        assert manifest["config"] == {
+            "dims": [8], "layers": [1], "inits": ["scratch"], "n_heads": 2,
+            "seed": 5, **{f: defaults[f] for f in ("dtype", "dropout", "max_src_len",
+                                                   "max_tgt_len")}}

@@ -152,6 +152,13 @@ class TestFinetune:
         assert drops >= 1  # monotone in >= 2 of 3 epochs means both transitions drop
         assert means[-1] < means[0]
 
+    def test_no_examples_names_the_task(self):
+        """The fine-tuning stage once had a check of its own, which read
+        'no pre-order examples'."""
+        _, _, cfg, _ = small_setup()
+        with pytest.raises(train.EmptyTaskDataset, match="no examples for task 'pre'"):
+            train.finetune(model.init_params(cfg), [], train.TrainPlan())
+
 
 class ReferenceAdam:
     """Per-tensor Adam over a name list, the update the arena Adam replaces."""
@@ -365,6 +372,15 @@ class TestAblation:
         params = out["model"].params
         assert not params.names("dec.in.") and not params.names("dec.post.")
         assert params.names("dec.pre.")
+
+    def test_no_pretrain_with_no_finetune_epoch_refused(self):
+        """The arm once returned an untrained model without an error."""
+        records = make_records(8, seed=7)
+        cfg = model.ModelConfig(src_vocab_size=8, tgt_vocab_size=8, d_model=16,
+                                n_heads=2, seed=7)
+        plan = train.TrainPlan(pretrain_epochs=1, finetune_epochs=0, batch_size=8)
+        with pytest.raises(train.TrainError, match="nothing would train"):
+            train.run_ablation("no_pretrain", records, records, cfg, plan)
 
     def test_unknown_arm(self):
         with pytest.raises(train.TrainError):
