@@ -3,7 +3,9 @@
 Exit codes: 0 success, 2 input error (including an input path that cannot
 be read or is not UTF-8 text), 3 checkpoint/config mismatch, 4 numeric
 failure (non-finite loss). A run manifest is written into the output
-directory before any long computation starts.
+directory before any long computation starts; `train` and `sweep` check
+their inputs, the length limits and any PCA initialisation first, so what
+those checks refuse writes nothing.
 """
 
 from __future__ import annotations
@@ -62,10 +64,9 @@ def _positive_ints(text: str) -> list[int]:
     return values
 
 
-def _write_manifest(out_dir: Path, command: str, seed: int, inputs: dict,
-                    config: dict, plan: dict, artifacts: list[str]):
-    out_dir.mkdir(parents=True, exist_ok=True)
-    manifest = {
+def _manifest(command: str, seed: int, inputs: dict, config: dict, plan: dict,
+              artifacts: list[str]) -> dict:
+    return {
         "tool_version": __version__,
         "command": command,
         "seed": seed,
@@ -77,6 +78,10 @@ def _write_manifest(out_dir: Path, command: str, seed: int, inputs: dict,
         "plan": plan,
         "artifacts": artifacts,
     }
+
+
+def _write_manifest(out_dir: Path, manifest: dict):
+    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8")
 
@@ -159,6 +164,21 @@ def _prepare_run(args):
             dataset.build_vocab(load.records))
 
 
+def _refuse_untrainable(records: list, vocab: dataset.Vocab,
+                        config: model.ModelConfig, embeddings, pca_widths):
+    """Refuse, before anything is written, a run that would fail once it
+    starts: no record within the model length limits (`config`'s, which every
+    cell of a sweep shares), or embeddings that cannot initialise one of
+    `pca_widths`."""
+    if not train.split_by_length(records, config)[0]:
+        raise train.EmptyTaskDataset(
+            f"no examples for task 'pre': all {len(records)} record(s) are over "
+            "the model length limits")
+    if embeddings is not None:
+        for width in sorted(set(pca_widths)):
+            pca_init.init_vocab_embeddings(vocab, embeddings, width, seed=config.seed)
+
+
 def _load_test(path: str) -> dataset.CorpusLoad:
     """A test corpus for `eval` and `sweep`; warns when lines were quarantined."""
     test = dataset.load_corpus(path)
@@ -172,10 +192,10 @@ def cmd_augment(args) -> int:
     seed = _seed(args)
     load = dataset.load_corpus(args.corpus)
     out_dir = Path(args.out)
-    _write_manifest(out_dir, "augment", seed, {"corpus": args.corpus},
-                    config={}, plan={},
-                    artifacts=[f"task_{v.value}.jsonl" for v in TraversalVariant]
-                    + ["quarantine.jsonl"])
+    _write_manifest(out_dir, _manifest(
+        "augment", seed, {"corpus": args.corpus}, config={}, plan={},
+        artifacts=[f"task_{v.value}.jsonl" for v in TraversalVariant]
+        + ["quarantine.jsonl"]))
     rows = dataset.augment_tokens(load.records)
     dataset.write_task_files(rows, out_dir)
     with open(out_dir / "quarantine.jsonl", "w", encoding="utf-8") as fh:
@@ -193,14 +213,15 @@ def cmd_train(args) -> int:
     seed, load, embeddings, cfg_kv, plan_kv, plan, vocab = _prepare_run(args)
     config = model.ModelConfig(src_vocab_size=vocab.src_size,
                                tgt_vocab_size=vocab.tgt_size, **cfg_kv)
+    _refuse_untrainable(load.records, vocab, config, embeddings, [config.d_model])
     out_dir = Path(args.out)
     artifacts = ["checkpoint_final.mmtm", "trainlog_finetune.jsonl"]
     if plan.pretrain_epochs:
         artifacts = ["checkpoint_pretrain.mmtm",
                      "trainlog_pretrain.jsonl"] + artifacts
-    _write_manifest(out_dir, "train", seed,
-                    {"corpus": args.corpus, "embeddings": args.embeddings},
-                    config=cfg_kv, plan=plan_kv, artifacts=artifacts)
+    _write_manifest(out_dir, _manifest(
+        "train", seed, {"corpus": args.corpus, "embeddings": args.embeddings},
+        config=cfg_kv, plan=plan_kv, artifacts=artifacts))
     result = train.train_pipeline(load.records, config, plan, vocab=vocab,
                                   embeddings=embeddings)
     if result.pretrain_params is not None:
@@ -253,13 +274,18 @@ def cmd_sweep(args) -> int:
             cfg["n_heads"] = 2 if dim % 2 == 0 else 1
         cells.append((dim, layers, init_kind, model.ModelConfig(
             src_vocab_size=vocab.src_size, tgt_vocab_size=vocab.tgt_size, **cfg)))
+    _refuse_untrainable(load.records, vocab, cells[0][3], embeddings,
+                        [dim for dim, _, init_kind, _ in cells if init_kind == "pca"])
     options = {k: v for k, v in cfg_kv.items() if OPTIONS.get(k) not in GRID_FLAGS}
-    _write_manifest(out_dir, "sweep", seed,
-                    {"corpus": args.corpus, "test": args.test,
-                     "embeddings": args.embeddings},
-                    config={"dims": args.dims, "layers": args.layer_list,
-                            "inits": inits, **options},
-                    plan=plan_kv, artifacts=["sweep.csv"])
+    manifest = _manifest(
+        "sweep", seed,
+        {"corpus": args.corpus, "test": args.test, "embeddings": args.embeddings},
+        config={"dims": args.dims, "layers": args.layer_list, "inits": inits,
+                **options},
+        plan=plan_kv, artifacts=["sweep.csv"])
+    if rows:
+        _refuse_other_settings(csv_path, out_dir / "manifest.json", manifest)
+    _write_manifest(out_dir, manifest)
     for dim, layers, init_kind, config in cells:
         if (dim, layers, init_kind) in done:
             continue
@@ -292,6 +318,32 @@ def _read_sweep_csv(path: Path) -> tuple[list[dict], set]:
         return [], set()
     except (csv.Error, ValueError) as e:  # UnicodeDecodeError is a ValueError
         raise CliInputError(f"cannot resume from {path}: {e}") from None
+
+
+def _resume_settings(manifest: dict) -> dict:
+    """What a sweep rerun shares with the run whose rows it resumes: seed,
+    plan and options other than the grid's (each unset one at its default),
+    and each input's sha256."""
+    return {**_DEFAULTS, **{k: v for k, v in manifest["config"].items()
+                            if k not in ("dims", "layers", "inits")},
+            **manifest["plan"], "seed": manifest["seed"],
+            **{f"{name} sha256": entry["sha256"]
+               for name, entry in manifest["inputs"].items()}}
+
+
+def _refuse_other_settings(csv_path: Path, manifest_path: Path, manifest: dict):
+    """A rerun may grow the grid of the rows in `csv_path`, but not change
+    the settings its manifest records for them."""
+    try:
+        old = _resume_settings(json.loads(manifest_path.read_text(encoding="utf-8")))
+    except (OSError, ValueError, LookupError, TypeError, AttributeError) as e:
+        raise CliInputError(f"cannot resume from {csv_path}: no readable sweep "
+                            f"manifest: {e}") from None
+    new = _resume_settings(manifest)
+    differ = sorted(k for k in old.keys() | new.keys() if old.get(k) != new.get(k))
+    if differ:
+        raise CliInputError(f"cannot resume from {csv_path}: its manifest records "
+                            f"other settings for {', '.join(differ)}")
 
 
 def _write_sweep_csv(path: Path, rows: list[dict]):

@@ -18,10 +18,10 @@ OPERATORS = ("+", "-", "*", "/")
 _PLACEHOLDER_RE = re.compile(r"^number(\d+)$")
 _NUMBER_RE = re.compile(r"^\d+(?:\.\d+)?$")
 # Longest infix equation parse_infix accepts, in tokens: 128 operands joined
-# by 127 operators (a valid equation has an odd count). The parser recurses
-# three frames per parenthesis and the tree code one per level, so this keeps
-# the deepest input (127 parentheses, or 128 levels) far inside Python's
-# default recursion limit of 1000.
+# by 127 operators (a valid equation has an odd count). The parser and the
+# label builders use stacks, but the tree walkers (traverse, evaluate,
+# to_infix) recurse one frame per level, so this keeps the deepest tree
+# (128 levels) far inside Python's default recursion limit of 1000.
 MAX_EQUATION_TOKENS = 255
 
 
@@ -186,73 +186,65 @@ def _tokenize_infix(equation: str) -> list[str]:
     return out
 
 
+def _reduce(trees: list[ExprTree], op: str, mirror: bool = False):
+    """Replace the top two trees of the operand stack with their `op` node:
+    the deeper one is the left child, or the right one if `mirror`."""
+    top, below = trees.pop(), trees.pop()
+    trees.append(Node(op, top, below) if mirror else Node(op, below, top))
+
+
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
 def parse_infix(equation: str, n_quantities: int) -> ExprTree:
     """Parse an infix equation over placeholders/constants into a tree.
 
     Standard precedence (*, / bind tighter than +, -), left associativity.
     Every placeholder index must be < n_quantities, and an equation has at
-    most MAX_EQUATION_TOKENS tokens.
+    most MAX_EQUATION_TOKENS tokens. One left-to-right pass over an operand
+    stack and a stack of pending operators and open parentheses (Dijkstra's
+    shunting-yard), so an error is the first one the tokens reach.
     """
     tokens = _tokenize_infix(equation)
     if not tokens:
         raise EmptyExpression("empty equation")
     if len(tokens) > MAX_EQUATION_TOKENS:
         raise EquationTooLong(f"{len(tokens)} tokens, at most {MAX_EQUATION_TOKENS}")
-    idx = 0
-
-    def peek():
-        return tokens[idx] if idx < len(tokens) else None
-
-    def advance():
-        nonlocal idx
-        tok = tokens[idx]
-        idx += 1
-        return tok
-
-    def parse_expr() -> ExprTree:
-        tree = parse_term()
-        while peek() in ("+", "-"):
-            op = advance()
-            tree = Node(op, tree, parse_term())
-        return tree
-
-    def parse_term() -> ExprTree:
-        tree = parse_factor()
-        while peek() in ("*", "/"):
-            op = advance()
-            tree = Node(op, tree, parse_factor())
-        return tree
-
-    def parse_factor() -> ExprTree:
-        tok = peek()
-        if tok is None:
-            raise UnbalancedParens("expression ended unexpectedly")
-        if tok == "(":
-            advance()
-            tree = parse_expr()
-            if peek() != ")":
+    trees: list[ExprTree] = []
+    pending: list[str] = []  # operators and open parentheses not yet reduced
+    operand_next = True
+    for i, tok in enumerate(tokens):
+        if not operand_next and tok in _PRECEDENCE:
+            while pending and _PRECEDENCE.get(pending[-1], 0) >= _PRECEDENCE[tok]:
+                _reduce(trees, pending.pop())
+            pending.append(tok)
+        elif not operand_next and "(" in pending:
+            if tok != ")":
                 raise UnbalancedParens("missing closing parenthesis")
-            advance()
-            return tree
-        advance()
-        m = _PLACEHOLDER_RE.match(tok)
-        if m:
-            index = int(m.group(1))
-            if index >= n_quantities:
-                raise PlaceholderOutOfRange(
-                    f"{tok} but only {n_quantities} quantities"
-                )
-            return Leaf(Placeholder(index))
-        if re.match(r"^\d", tok):
-            return Leaf(Constant(parse_number(tok)))
-        raise UnknownToken(f"unexpected token {tok!r}")
-
-    tree = parse_expr()
-    if idx != len(tokens):
-        if tokens[idx] == ")":
-            raise UnbalancedParens("unmatched closing parenthesis")
-        raise TrailingTokens(f"unconsumed input {tokens[idx:]!r}")
-    return tree
+            while (op := pending.pop()) != "(":
+                _reduce(trees, op)
+        elif not operand_next:
+            if tok == ")":
+                raise UnbalancedParens("unmatched closing parenthesis")
+            raise TrailingTokens(f"unconsumed input {tokens[i:]!r}")
+        elif tok == "(":
+            pending.append(tok)
+        elif m := _PLACEHOLDER_RE.match(tok):
+            if int(m[1]) >= n_quantities:
+                raise PlaceholderOutOfRange(f"{tok} but only {n_quantities} quantities")
+            trees.append(Leaf(Placeholder(int(m[1]))))
+        elif tok[0].isdecimal():
+            trees.append(Leaf(Constant(parse_number(tok))))
+        else:
+            raise UnknownToken(f"unexpected token {tok!r}")
+        operand_next = tok == "(" or tok in _PRECEDENCE
+    if operand_next:
+        raise UnbalancedParens("expression ended unexpectedly")
+    if "(" in pending:
+        raise UnbalancedParens("missing closing parenthesis")
+    while pending:
+        _reduce(trees, pending.pop())
+    return trees[0]
 
 
 def traverse(tree: ExprTree, variant: TraversalVariant) -> list[str]:
@@ -281,47 +273,33 @@ def traverse(tree: ExprTree, variant: TraversalVariant) -> list[str]:
     return out
 
 
-def tree_from_preorder(tokens: list[str]) -> ExprTree:
-    """Invert a pre-order label sequence; the whole sequence must be consumed."""
-    idx = 0
-
-    def build() -> ExprTree:
-        nonlocal idx
-        if idx >= len(tokens):
-            raise TruncatedSequence("operator missing an operand")
-        tok = tokens[idx]
-        idx += 1
-        if tok in OPERATORS:
-            left = build()
-            right = build()
-            return Node(tok, left, right)
-        return leaf_from_token(tok)
-
+def _tree_from_label(tokens: list[str], mirror: bool) -> ExprTree:
+    """Build a post-order label's tree on the operand stack; with `mirror`,
+    `tokens` are the mirror tree's post-order, so the children swap back."""
     if not tokens:
         raise TruncatedSequence("empty label sequence")
-    tree = build()
-    if idx != len(tokens):
-        raise TrailingTokens(f"{len(tokens) - idx} tokens left after a complete tree")
-    return tree
+    trees: list[ExprTree] = []
+    for tok in tokens:
+        if tok in OPERATORS:
+            if len(trees) < 2:
+                raise TruncatedSequence(f"operator {tok!r} lacks operands")
+            _reduce(trees, tok, mirror)
+        else:
+            trees.append(leaf_from_token(tok))
+    if len(trees) != 1:
+        raise TrailingTokens(f"{len(trees)} disconnected subtrees remain")
+    return trees[0]
+
+
+def tree_from_preorder(tokens: list[str]) -> ExprTree:
+    """Invert a pre-order label sequence; the whole sequence must be consumed.
+    Read backwards, it is the post-order of the mirror tree."""
+    return _tree_from_label(tokens[::-1], mirror=True)
 
 
 def tree_from_postorder(tokens: list[str]) -> ExprTree:
-    """Invert a post-order label sequence via the usual stack construction."""
-    if not tokens:
-        raise TruncatedSequence("empty label sequence")
-    stack: list[ExprTree] = []
-    for tok in tokens:
-        if tok in OPERATORS:
-            if len(stack) < 2:
-                raise TruncatedSequence(f"operator {tok!r} lacks operands")
-            right = stack.pop()
-            left = stack.pop()
-            stack.append(Node(tok, left, right))
-        else:
-            stack.append(leaf_from_token(tok))
-    if len(stack) != 1:
-        raise TrailingTokens(f"{len(stack)} disconnected subtrees remain")
-    return stack[0]
+    """Invert a post-order label sequence."""
+    return _tree_from_label(tokens, mirror=False)
 
 
 def evaluate(tree: ExprTree, quantities: list[Fraction]) -> Fraction:

@@ -157,7 +157,7 @@ class ModelConfig:
 class Arena(Mapping):
     """Name -> array mapping whose values are reshaped views of one 1-D array,
     `flat`, in sorted-name order. Assigning to a name writes into `flat`; the
-    names are fixed. `arena[start, stop]` is the span between two offsets."""
+    names are fixed."""
 
     def __init__(self, flat: np.ndarray, shapes: dict[str, tuple[int, ...]]):
         self.flat, self.shapes = flat, shapes
@@ -165,10 +165,8 @@ class Arena(Mapping):
         pieces = np.split(flat, np.cumsum([math.prod(shapes[n]) for n in names])[:-1])
         self._views = {n: piece.reshape(shapes[n]) for n, piece in zip(names, pieces)}
 
-    def __getitem__(self, key):
-        if isinstance(key, tuple):
-            return self.flat[slice(*key)]
-        return self._views[key]
+    def __getitem__(self, name: str):
+        return self._views[name]
 
     def __setitem__(self, name: str, value):
         self._views[name][...] = value

@@ -35,6 +35,19 @@ def fast_train_flags(out_dir, seed=5):
             "--finetune-epochs", "2", "--finetune-lr", "1e-3"]
 
 
+def write_embeddings(path, corpus_path, width, shared=True):
+    """An embedding table over the corpus's question words, or (not `shared`)
+    over none of them."""
+    words = set()
+    for line in corpus_path.read_text().splitlines():
+        words.update(json.loads(line)["question"].split())
+    rng = np.random.default_rng(0)
+    pca_init.write_embeddings_tsv(path, PretrainedEmbeddings(
+        {w if shared else f"zz{w}": rng.normal(size=width) for w in sorted(words)},
+        width))
+    return path
+
+
 class TestAugment:
     def test_happy_path(self, corpus_path, tmp_path, capsys):
         rc = cli.main(["augment", "--corpus", str(corpus_path),
@@ -344,6 +357,33 @@ class TestTrain:
                       + fast_train_flags(tmp_path / "o"))
         assert rc == 2
         assert "no examples for task 'pre'" in capsys.readouterr().err
+
+    def test_no_record_within_length_limits_refused_before_writing(
+            self, corpus_path, tmp_path, capsys):
+        """{"max_src_len": 1} once wrote manifest.json, then exited 2 with "no
+        examples for task 'pre'"."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_src_len": 1}))
+        rc = cli.main(["train", "--corpus", str(corpus_path), "--config", str(cfg)]
+                      + fast_train_flags(tmp_path / "o"))
+        assert rc == 2
+        assert ("no examples for task 'pre': all 12 record(s) are over the model "
+                "length limits") in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("width,shared,message", [
+        (8, True, "d=16 exceeds pretrained width 8"),
+        (24, False, "only 0 vocabulary tokens found in the pretrained table"),
+    ], ids=["narrower-than-dim", "no-shared-token"])
+    def test_embeddings_that_cannot_init_refused_before_writing(
+            self, corpus_path, tmp_path, capsys, width, shared, message):
+        """Each once wrote manifest.json, then exited 2."""
+        emb = write_embeddings(tmp_path / "emb.tsv", corpus_path, width, shared)
+        rc = cli.main(["train", "--corpus", str(corpus_path), "--embeddings",
+                       str(emb)] + fast_train_flags(tmp_path / "o"))
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")
@@ -710,7 +750,8 @@ class TestConfigFileProperty:
     def test_any_config_file_exits_0_2_or_4(self, corpus_path, cfg):
         """Every config file ends in a documented exit code, never a traceback;
         a value outside its range, or a run outside the joint ranges (width a
-        multiple of the heads, some epoch trained), exits 2 before writing."""
+        multiple of the heads, some epoch trained), exits 2; and every exit 2
+        comes before anything is written."""
         text = json.dumps(cfg, default=lambda _: "__huge__").replace(
             '"__huge__"', "1" + "0" * 5000)
         outside = (not all(documented(f, v) for f, v in cfg.items())
@@ -723,9 +764,9 @@ class TestConfigFileProperty:
                 rc = cli.main(["train", "--corpus", str(corpus_path), "--config",
                                str(path), "--out", str(out)])
             if outside:
-                assert (rc, out.exists()) == (2, False)
-            else:
-                assert rc in (0, 2, 4)
+                assert rc == 2
+            assert rc in (0, 2, 4)
+            assert out.exists() == (rc != 2)
 
 
 class TestSweepInputs:
@@ -819,6 +860,61 @@ class TestSweepInputs:
         assert "error: corpus has no valid records" in capsys.readouterr().err
         assert (out / "manifest.json").read_bytes() == manifest
         assert (out / "sweep.csv").read_bytes() == rows
+
+    def test_no_record_within_length_limits_refused_before_writing(
+            self, corpus_path, test_path, tmp_path, capsys):
+        """{"max_src_len": 1} once wrote manifest.json, then exited 2 with "no
+        examples for task 'pre'"."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_src_len": 1}))
+        assert self.sweep(corpus_path, test_path, tmp_path / "s",
+                          "--config", str(cfg)) == 2
+        assert "no examples for task 'pre'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_pca_width_past_the_table_refused_before_writing(
+            self, corpus_path, test_path, tmp_path, capsys):
+        """A --dims 4,16 rerun with an 8-wide table once trained the cells
+        before the 16-wide pca one, with the manifest already replaced, and
+        then exited 2 there."""
+        emb = write_embeddings(tmp_path / "emb.tsv", corpus_path, 8)
+        out = tmp_path / "s"
+        assert self.sweep(corpus_path, test_path, out, "--dims", "4",
+                          "--embeddings", str(emb)) == 0
+        manifest, rows = (out / "manifest.json").read_bytes(), \
+            (out / "sweep.csv").read_bytes()
+        assert self.sweep(corpus_path, test_path, out, "--dims", "4,16",
+                          "--embeddings", str(emb)) == 2
+        assert "d=16 exceeds pretrained width 8" in capsys.readouterr().err
+        assert (out / "manifest.json").read_bytes() == manifest
+        assert (out / "sweep.csv").read_bytes() == rows
+
+    def test_rerun_resumes_only_under_the_manifest_settings(
+            self, corpus_path, test_path, tmp_path, capsys):
+        """A rerun with another plan and seed once skipped the cell in
+        sweep.csv, exited 0 and recorded its own plan and seed over that row's."""
+        out, other_test = tmp_path / "s", tmp_path / "test.jsonl"
+        other_test.write_text(test_path.read_text() + "\n", encoding="utf-8")
+        assert self.sweep(corpus_path, test_path, out, "--seed", "4") == 0
+        manifest, rows = (out / "manifest.json").read_bytes(), \
+            (out / "sweep.csv").read_bytes()
+        for test, extra, keys in [
+                (test_path, ["--pretrain-epochs", "3", "--finetune-epochs", "2",
+                             "--seed", "9"], "finetune_epochs, pretrain_epochs, seed"),
+                (test_path, ["--seed", "4", "--heads", "2"], "n_heads"),
+                (other_test, ["--seed", "4"], "test sha256")]:
+            assert self.sweep(corpus_path, test, out, *extra) == 2
+            assert (f"cannot resume from {out / 'sweep.csv'}: its manifest records "
+                    f"other settings for {keys}\n") in capsys.readouterr().err
+            assert (out / "manifest.json").read_bytes() == manifest
+            assert (out / "sweep.csv").read_bytes() == rows
+        assert self.sweep(corpus_path, test_path, out, "--seed", "4",
+                          "--dims", "8,16") == 0  # the grid may grow
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert lines[:2] == rows.decode().splitlines() and len(lines) == 3
+        (out / "manifest.json").unlink()
+        assert self.sweep(corpus_path, test_path, out, "--seed", "4") == 2
+        assert "no readable sweep manifest" in capsys.readouterr().err
 
     def test_manifest_records_plan_and_options(self, corpus_path, test_path, tmp_path):
         """The manifest once held the grid alone, and an empty plan."""

@@ -63,6 +63,74 @@ class TestParseInfix:
             expr.parse_infix("   ", 0)
 
 
+_BINDING = {"+": 1, "-": 1, "*": 2, "/": 2}
+
+
+def fewest_parens_infix(tree, sep=" "):
+    """Infix with only the parentheses precedence and left associativity need:
+    around a child that binds looser than its parent, or around a right child
+    that binds as loosely."""
+    if isinstance(tree, Leaf):
+        return tree.operand.token
+
+    def side(child, right):
+        text = fewest_parens_infix(child, sep)
+        if isinstance(child, Node) and (_BINDING[child.op] < _BINDING[tree.op] or (
+                right and _BINDING[child.op] == _BINDING[tree.op])):
+            return f"({sep}{text}{sep})"
+        return text
+
+    return sep.join([side(tree.left, False), tree.op, side(tree.right, True)])
+
+
+class TestParsePrecedence:
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 7))
+    def test_fewest_parentheses_parse_back(self, seed, depth):
+        tree = random_tree(np.random.default_rng(seed), depth)
+        for sep in (" ", ""):
+            assert expr.parse_infix(fewest_parens_infix(tree, sep), 4) == tree
+
+    def test_printer_drops_parentheses(self):
+        tree = Node("-", Node("-", P0, Node("*", P1, P2)), Node("/", P0, P1))
+        assert fewest_parens_infix(tree) == \
+            "number0 - number1 * number2 - number0 / number1"
+        assert fewest_parens_infix(Node("-", P0, Node("-", P1, P2)), "") == \
+            "number0-(number1-number2)"
+
+
+class TestParseErrors:
+    """Each message parse_infix raises, with its class: the equation's
+    quarantine reason is `bad equation: <message>`."""
+
+    @pytest.mark.parametrize("equation,n,cls,message", [
+        ("number0 + x", 1, UnknownToken, "unexpected input at 'x'"),
+        ("   ", 0, EmptyExpression, "empty equation"),
+        (" + ".join(["number0"] * 129), 1, expr.EquationTooLong,
+         "257 tokens, at most 255"),
+        ("number0 +", 1, UnbalancedParens, "expression ended unexpectedly"),
+        ("( ( number0 )", 1, UnbalancedParens, "missing closing parenthesis"),
+        ("( number0 number0 )", 1, UnbalancedParens, "missing closing parenthesis"),
+        ("( number0 ) )", 1, UnbalancedParens, "unmatched closing parenthesis"),
+        ("number0 * number2", 2, PlaceholderOutOfRange,
+         "number2 but only 2 quantities"),
+        ("1" * 5000 + " + number0", 1, expr.NumberTooLong,
+         "a number of 5000 characters"),
+        ("* number0", 1, UnknownToken, "unexpected token '*'"),
+        ("number0 + ( )", 1, UnknownToken, "unexpected token ')'"),
+        ("number0 2.5 +", 1, TrailingTokens, "unconsumed input ['2.5', '+']"),
+        ("number0 ( number0 )", 1, TrailingTokens,
+         "unconsumed input ['(', 'number0', ')']"),
+    ], ids=["unknown-input", "empty", "too-long", "ended", "unclosed",
+            "operand-for-close", "unmatched-close", "placeholder-range",
+            "number-too-long", "operator-first", "empty-parens", "trailing",
+            "trailing-parens"])
+    def test_class_and_message(self, equation, n, cls, message):
+        with pytest.raises(expr.ExprError) as exc:
+            expr.parse_infix(equation, n)
+        assert (type(exc.value), str(exc.value)) == (cls, message)
+
+
 class TestTraverse:
     def test_pre_order(self):
         assert expr.traverse(Node("-", P0, P1), TraversalVariant.PRE_ORDER) == [
