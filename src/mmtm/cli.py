@@ -165,18 +165,22 @@ def _prepare_run(args):
 
 
 def _refuse_untrainable(records: list, vocab: dataset.Vocab,
-                        config: model.ModelConfig, embeddings, pca_widths):
+                        configs: list[model.ModelConfig], plan: train.TrainPlan,
+                        embeddings, pca_widths):
     """Refuse, before anything is written, a run that would fail once it
-    starts: no record within the model length limits (`config`'s, which every
-    cell of a sweep shares), or embeddings that cannot initialise one of
-    `pca_widths`."""
-    if not train.split_by_length(records, config)[0]:
+    starts: no record within the model length limits (which every cell of a
+    sweep shares), a parameter arena of one of `configs` that cannot be
+    allocated, or embeddings that cannot initialise one of `pca_widths`."""
+    if not train.split_by_length(records, configs[0])[0]:
         raise train.EmptyTaskDataset(
             f"no examples for task 'pre': all {len(records)} record(s) are over "
             "the model length limits")
+    for config in configs:
+        model.zero_arena(config, plan.tasks)
     if embeddings is not None:
         for width in sorted(set(pca_widths)):
-            pca_init.init_vocab_embeddings(vocab, embeddings, width, seed=config.seed)
+            pca_init.init_vocab_embeddings(vocab, embeddings, width,
+                                           seed=configs[0].seed)
 
 
 def _load_test(path: str) -> dataset.CorpusLoad:
@@ -213,7 +217,8 @@ def cmd_train(args) -> int:
     seed, load, embeddings, cfg_kv, plan_kv, plan, vocab = _prepare_run(args)
     config = model.ModelConfig(src_vocab_size=vocab.src_size,
                                tgt_vocab_size=vocab.tgt_size, **cfg_kv)
-    _refuse_untrainable(load.records, vocab, config, embeddings, [config.d_model])
+    _refuse_untrainable(load.records, vocab, [config], plan, embeddings,
+                        [config.d_model])
     out_dir = Path(args.out)
     artifacts = ["checkpoint_final.mmtm", "trainlog_finetune.jsonl"]
     if plan.pretrain_epochs:
@@ -274,8 +279,8 @@ def cmd_sweep(args) -> int:
             cfg["n_heads"] = 2 if dim % 2 == 0 else 1
         cells.append((dim, layers, init_kind, model.ModelConfig(
             src_vocab_size=vocab.src_size, tgt_vocab_size=vocab.tgt_size, **cfg)))
-    _refuse_untrainable(load.records, vocab, cells[0][3], embeddings,
-                        [dim for dim, _, init_kind, _ in cells if init_kind == "pca"])
+    _refuse_untrainable(load.records, vocab, [cfg for *_, cfg in cells], plan,
+                        embeddings, [dim for dim, _, kind, _ in cells if kind == "pca"])
     options = {k: v for k, v in cfg_kv.items() if OPTIONS.get(k) not in GRID_FLAGS}
     manifest = _manifest(
         "sweep", seed,

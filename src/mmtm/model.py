@@ -30,16 +30,15 @@ on (N, d) rows, one per non-PAD position of the padded source and of the
 BOS-prefixed target input. The attention core (scores, softmax, context) runs
 on cache-sized blocks of consecutive batch rows, each padded only to its own
 longest row (`_layout` gives `Block`s of a query and a key `Side`). Per
-sublayer the tape keeps the LayerNorm's `xhat` and scale, the projected
-queries, the self-attention keys and values, the attention weights, the FFN's
-ReLU output, bool dropout masks, and for cross-attention the encoder states
-(one array, shared by every decoder layer). Backward rebuilds each LayerNorm
-output, each attention context and the cross-attention keys and values with
-the forward's own expressions, and pops each entry as it runs, so a tape is
-used once. PAD gets no embedding gradient. The decoder stack,
-`_decoder_stack`, is written once: training runs it on a packed batch, and
-greedy decoding on one row per source and step, against cached attention keys
-and values.
+sublayer the tape keeps the LayerNorm's `xhat` and scale, bool dropout masks,
+and the attention weights and blocks (plus cross-attention's encoder states,
+one array for every decoder layer) or the FFN's ReLU output. Backward rebuilds
+each LayerNorm output and each attention's queries, keys, values and context
+with the forward's own expressions, so bit for bit, and empties each tape entry
+as it runs, so a tape is used once. PAD gets no embedding gradient. The decoder
+stack, `_decoder_stack`, is written once: training runs it on a packed batch,
+and greedy decoding on one row per source and step, against cached attention
+keys and values.
 """
 
 from __future__ import annotations
@@ -268,6 +267,19 @@ def param_shapes(config: ModelConfig, tasks: Sequence[TraversalVariant]
     return shapes
 
 
+def zero_arena(config: ModelConfig, tasks: Sequence[TraversalVariant]) -> Arena:
+    """A zeroed parameter arena; ShapeMismatch if it cannot be allocated."""
+    shapes = param_shapes(config, tasks)
+    size = sum(map(math.prod, shapes.values()))
+    try:
+        flat = np.zeros(size, dtype=config.dtype)
+    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
+        gib = size * np.dtype(config.dtype).itemsize / 2**30
+        raise ShapeMismatch(f"a parameter arena of {size} values ({gib:.1f} GiB) "
+                            "cannot be allocated") from None
+    return Arena(flat, shapes)
+
+
 def init_params(
     config: ModelConfig,
     embedding_init: Optional[np.ndarray] = None,
@@ -277,17 +289,9 @@ def init_params(
     arena; the source embedding table may be supplied (e.g. PCA-projected
     pretrained vectors). LayerNorm gains start at 1 and biases at 0."""
     tasks = tuple(_variant(t) for t in tasks)
-    shapes = param_shapes(config, tasks)
-    size = sum(map(math.prod, shapes.values()))
-    try:
-        flat = np.zeros(size, dtype=config.dtype)
-    except (MemoryError, ValueError):  # ValueError: past numpy's largest array
-        gib = size * np.dtype(config.dtype).itemsize / 2**30
-        raise ShapeMismatch(f"a parameter arena of {size} values ({gib:.1f} GiB) "
-                            "cannot be allocated") from None
-    params = ParamStore(config, Arena(flat, shapes), tasks)
+    params = ParamStore(config, zero_arena(config, tasks), tasks)
     rng = np.random.default_rng(config.seed)
-    t = params.tensors
+    t, shapes = params.tensors, params.tensors.shapes
     if embedding_init is not None and embedding_init.shape != shapes["src_embed"]:
         raise ShapeMismatch(
             f"embedding_init {embedding_init.shape}, expected {shapes['src_embed']}")
@@ -334,14 +338,14 @@ def _ln_fwd(x, g, b):
     xc = x - np.add.reduce(x, -1, keepdims=True) / d
     inv = 1.0 / np.sqrt(np.add.reduce(xc * xc, -1, keepdims=True) / d + _LN_EPS)
     xhat = xc * inv
-    return g * xhat + b, {"xhat": xhat, "inv": inv, "g": g, "b": b}
+    return g * xhat + b, {"xhat": xhat, "inv": inv}
 
 
-def _ln_bwd(dout, cache, grads, name):
-    xhat, inv, g = cache["xhat"], cache["inv"], cache["g"]
+def _ln_bwd(dout, cache, params, grads, name):
+    xhat, inv = cache.pop("xhat"), cache.pop("inv")
     grads[f"{name}.g"] += (dout * xhat).sum(0)
     grads[f"{name}.b"] += dout.sum(0)
-    dxhat = dout * g
+    dxhat = dout * params[f"{name}.g"]
     d = dxhat.shape[-1]
     m1 = np.add.reduce(dxhat, -1, keepdims=True) / d
     m2 = np.add.reduce(dxhat * xhat, -1, keepdims=True) / d
@@ -366,7 +370,7 @@ def _dropout(x, keep, p):
 # row r packs to offs[r]:offs[r + 1].
 Pack = namedtuple("Pack", "rows shape lens offs")
 # One side of an attention block: packed rows start:stop, `n` batch rows padded
-# to `length`, and the real rows' flat indices among n * length (or None).
+# to `length`, and the real rows' (row, position) indices (or None).
 Side = namedtuple("Side", "start stop n length idx")
 # An attention block: its query and key sides and additive score mask (or None).
 Block = namedtuple("Block", "q k mask")
@@ -401,7 +405,7 @@ def _layout(pack_q, pack_k, h, dtype, causal=False, limit=None):
             if min(run) < length:
                 valid = np.arange(length) < np.array(run)[:, None]
             sides.append(Side(pack.offs[r0], pack.offs[r1], r1 - r0, length,
-                              None if valid is None else np.flatnonzero(valid)))
+                              None if valid is None else np.nonzero(valid)))
         (q, k), mask, r0 = sides, None, r1
         if causal:
             mask = np.triu(np.full((q.length, k.length), _NEG, dtype=dtype), 1)
@@ -416,15 +420,16 @@ def _split(x, side, h):
     padded positions: a view of x when no row is short."""
     rows = x[side.start:side.stop]
     if side.idx is not None:
-        rows = np.zeros((side.n * side.length, x.shape[1]), dtype=x.dtype)
+        rows = np.zeros((side.n, side.length, x.shape[1]), dtype=x.dtype)
         rows[side.idx] = x[side.start:side.stop]
     return rows.reshape(side.n, side.length, h, -1).transpose(0, 2, 1, 3)
 
 
 def _merge(heads, side):
-    """Heads (rows, h, L, d/h) -> the side's real packed rows."""
-    merged = heads.transpose(0, 2, 1, 3).reshape(side.n * side.length, -1)
-    return merged if side.idx is None else merged[side.idx]
+    """Heads (rows, h, L, d/h) -> the side's real packed rows, in one copy."""
+    merged = heads.transpose(0, 2, 1, 3)
+    merged = merged if side.idx is None else merged[side.idx]
+    return merged.reshape(-1, heads.shape[1] * heads.shape[3])
 
 
 def _attention(q, k, v, blocks, h):
@@ -447,9 +452,10 @@ def _attention(q, k, v, blocks, h):
 
 
 def _mha_fwd(params, name, x_q, x_kv, blocks, rng, past=None):
-    """Multi-head attention on packed rows, its core run on `blocks`. With
-    `x_kv` None, `past` holds the split-head keys and values; otherwise `past`
-    (if given) is cache views whose last slot takes those of `x_kv`."""
+    """Multi-head attention on packed rows, its core run on `blocks`; `past` is
+    split-head keys and values (with `x_kv` None) or cache views whose last slot
+    takes those of `x_kv`. The tape keeps weights, dropout mask, blocks and,
+    for cross-attention, `x_kv`; backward rebuilds the rest."""
     t, cfg = params.tensors, params.config
     q = x_q @ t[f"{name}.wq"]
     if x_kv is None:
@@ -462,47 +468,41 @@ def _mha_fwd(params, name, x_q, x_kv, blocks, rng, past=None):
             k, v = past
     ctx, attn = _attention(q, k, v, blocks, cfg.n_heads)
     out, keep = _dropout_fwd(ctx @ t[f"{name}.wo"], cfg.dropout, rng)
-    cache = {"name": name, "q": q, "attn": attn, "keep": keep, "blocks": blocks}
-    if x_kv is x_q:
-        cache.update(k=k, v=v)
-    else:  # cross-attention: backward rebuilds the keys and values from the states
-        cache["x_kv"] = x_kv
-    return out, cache
+    states = {} if x_kv is x_q else {"x_kv": x_kv}  # cross-attention's
+    return out, {"name": name, "attn": attn, "keep": keep, "blocks": blocks, **states}
 
 
 def _mha_bwd(dout, cache, x_q, params, grads):
-    """`x_q` is the forward's query input, rebuilt by the caller; the context
-    is rebuilt here, block by block, and cross-attention's keys and values
-    from the encoder states, as the forward computed them."""
+    """`x_q` is the forward's query input, rebuilt by the caller. Queries, keys
+    and values (of `x_q` or the tape's `x_kv`) and the context are rebuilt with
+    the forward's own expressions. Empties `cache`; frees each temporary early."""
     t, h = params.tensors, params.config.n_heads
-    name, q = cache["name"], cache["q"]
-    if "x_kv" in cache:
-        x_kv = cache["x_kv"]
-        k, v = x_kv @ t[f"{name}.wk"], x_kv @ t[f"{name}.wv"]
-    else:
-        x_kv, k, v = x_q, cache["k"], cache["v"]
-    dout = _dropout(dout, cache["keep"], params.config.dropout)
-    dctx = dout @ t[f"{name}.wo"].T
+    name, x_kv = cache.pop("name"), cache.pop("x_kv", x_q)
+    wq, wk, wv, wo = (t[f"{name}.{w}"] for w in ("wq", "wk", "wv", "wo"))
+    q, k, v = x_q @ wq, x_kv @ wk, x_kv @ wv
+    dout = _dropout(dout, cache.pop("keep"), params.config.dropout)
+    dctx = dout @ wo.T
     ctx, dq, dk, dv = map(np.empty_like, (q, q, k, v))
     scale = 1.0 / math.sqrt(q.shape[1] // h)
-    for (qs, ks, _), attn in zip(cache["blocks"], cache["attn"]):
-        qb, kb, vb, dctxb = (_split(x, side, h) for x, side in
-                             ((q, qs), (k, ks), (v, ks), (dctx, qs)))
+    for (qs, ks, _), attn in zip(cache.pop("blocks"), cache.pop("attn")):
+        vb, dctxb = _split(v, ks, h), _split(dctx, qs, h)
         ctx[qs.start:qs.stop] = _merge(np.matmul(attn, vb), qs)
         dscores = np.matmul(dctxb, vb.transpose(0, 1, 3, 2))  # d attn, to d scores
-        dv[ks.start:ks.stop] = _merge(np.matmul(attn.transpose(0, 1, 3, 2), dctxb), ks)
+        del vb
         dscores -= (dscores * attn).sum(-1, keepdims=True)
         dscores *= attn
         dscores *= scale
-        dq[qs.start:qs.stop] = _merge(np.matmul(dscores, kb), qs)
-        dk[ks.start:ks.stop] = _merge(np.matmul(dscores.transpose(0, 1, 3, 2), qb), ks)
+        dq[qs.start:qs.stop] = _merge(np.matmul(dscores, _split(k, ks, h)), qs)
+        dk[ks.start:ks.stop] = _merge(
+            np.matmul(dscores.transpose(0, 1, 3, 2), _split(q, qs, h)), ks)
+        del dscores
+        dv[ks.start:ks.stop] = _merge(np.matmul(attn.transpose(0, 1, 3, 2), dctxb), ks)
     grads[f"{name}.wo"] += ctx.T @ dout
+    del q, k, v, ctx, dout, dctx, attn, dctxb
     grads[f"{name}.wq"] += x_q.T @ dq
     grads[f"{name}.wk"] += x_kv.T @ dk
     grads[f"{name}.wv"] += x_kv.T @ dv
-    dx_q = dq @ t[f"{name}.wq"].T
-    dx_kv = dk @ t[f"{name}.wk"].T + dv @ t[f"{name}.wv"].T
-    return dx_q, dx_kv
+    return dq @ wq.T, dk @ wk.T + dv @ wv.T
 
 
 def _ffn_fwd(params, name, x, rng):
@@ -518,13 +518,14 @@ def _ffn_fwd(params, name, x, rng):
 
 
 def _ffn_bwd(dout, cache, x, params, grads):
-    """`x` is the forward's input, rebuilt by the caller."""
-    t, name, hid = params.tensors, cache["name"], cache["hid"]
-    dout = _dropout(dout, cache["keep"], params.config.dropout)
+    """`x` is the forward's input, rebuilt by the caller. Empties `cache`."""
+    t, name, hid = params.tensors, cache.pop("name"), cache.pop("hid")
+    dout = _dropout(dout, cache.pop("keep"), params.config.dropout)
     grads[f"{name}.w2"] += hid.T @ dout
     grads[f"{name}.b2"] += dout.sum(0)
     dhid = dout @ t[f"{name}.w2"].T
     dhid *= hid > 0
+    del dout, hid
     grads[f"{name}.w1"] += x.T @ dhid
     grads[f"{name}.b1"] += dhid.sum(0)
     return dhid @ t[f"{name}.w1"].T
@@ -649,22 +650,21 @@ def task_grads(params: ParamStore) -> dict[TraversalVariant, Arena]:
 
 def _tape_bwd(dx, caches, params, grads):
     """Pop sublayer caches from the end, so each is freed once its backward
-    has run; returns (dx, d_states_accum). Each sublayer's LayerNorm output is
-    rebuilt from the LayerNorm cache with the forward's own expression, so it
-    is bit-identical to the one the forward used."""
+    has run; returns (dx, d_states_accum), both summed in place. Each LayerNorm
+    output is rebuilt with the forward's own expression, so bit for bit."""
     dstates = None
     while caches:
         kind, name_ln, ln_cache, sub_cache = caches.pop()
-        normed = ln_cache["g"] * ln_cache["xhat"] + ln_cache["b"]
+        normed = params[f"{name_ln}.g"] * ln_cache["xhat"] + params[f"{name_ln}.b"]
         if kind == "ffn":
             dsub = _ffn_bwd(dx, sub_cache, normed, params, grads)
         else:
             dsub, dkv = _mha_bwd(dx, sub_cache, normed, params, grads)
             if kind == "attn":
-                dsub = dsub + dkv
+                dsub += dkv
             else:  # cross: keys and values came from the encoder states
-                dstates = dkv if dstates is None else dstates + dkv
-        dx = dx + _ln_bwd(dsub, ln_cache, grads, name_ln)
+                dstates = dkv if dstates is None else np.add(dstates, dkv, out=dstates)
+        dx += _ln_bwd(dsub, ln_cache, params, grads, name_ln)
     return dx, dstates
 
 
@@ -675,7 +675,7 @@ def decode_bwd(dlogits, dec_tape, params, grads):
     grads[f"dec.{key}.out.w"] += dec_tape["normed"].T @ dlogits
     grads[f"dec.{key}.out.b"] += dlogits.sum(0)
     dx = dlogits @ params[f"dec.{key}.out.w"].T
-    dx = _ln_bwd(dx, dec_tape["lnf"], grads, f"dec.{key}.ln_f")
+    dx = _ln_bwd(dx, dec_tape["lnf"], params, grads, f"dec.{key}.ln_f")
     dx, dstates = _tape_bwd(dx, dec_tape["caches"], params, grads)
     np.add.at(grads[f"dec.{key}.tgt_embed"], dec_tape["ids"], dx)
     return dstates
@@ -684,7 +684,7 @@ def decode_bwd(dlogits, dec_tape, params, grads):
 def encode_bwd(dstates, enc_tape, params, grads):
     """Backprop the encoder. Empties the tape's sublayer caches as it goes, so a
     tape is used once."""
-    dx = _ln_bwd(dstates, enc_tape["lnf"], grads, "enc.ln_f")
+    dx = _ln_bwd(dstates, enc_tape["lnf"], params, grads, "enc.ln_f")
     dx, _ = _tape_bwd(dx, enc_tape["caches"], params, grads)
     np.add.at(grads["src_embed"], enc_tape["ids"], dx)
 

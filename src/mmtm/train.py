@@ -65,6 +65,13 @@ class TrainPlan:
             raise TrainError("pretrain_epochs and finetune_epochs are both 0: "
                              "nothing would train")
 
+    @property
+    def tasks(self) -> tuple[TraversalVariant, ...]:
+        """The decoders a run builds: all three, or with `pretrain_epochs` 0
+        (the no-pre-training arm) the pre-order one only."""
+        return tuple(TraversalVariant) if self.pretrain_epochs else (
+            TraversalVariant.PRE_ORDER,)
+
 
 @dataclass
 class TrainLog:
@@ -184,11 +191,16 @@ def _run_stage(params: ParamStore, plan: TrainPlan, stage: str,
                       for batch in row if batch is not None]:
             task = batch[0].task
             src, tgt = pad_batch(batch)
-            value, _ = model.loss_and_grads_batch(params, task, src, tgt,
-                                                  rng=drop_rng, grads=grads[task])
-            if not np.isfinite(value):
-                raise NonFiniteLoss(f"{stage} step {len(log.steps)}: loss={value}")
-            opt.step(params, grads[task], lr, spans[task])
+            try:  # underflow stays quiet: softmax over the -1e30 mask needs it
+                with np.errstate(over="raise", invalid="raise"):
+                    value, _ = model.loss_and_grads_batch(
+                        params, task, src, tgt, rng=drop_rng, grads=grads[task])
+                    if not np.isfinite(value):
+                        raise NonFiniteLoss(f"{stage} step {len(log.steps)}: "
+                                            f"loss={value}")
+                    opt.step(params, grads[task], lr, spans[task])
+            except FloatingPointError as e:
+                raise NonFiniteLoss(f"{stage} step {len(log.steps)}: {e}") from None
             log.steps.append(dict(stage=stage, epoch=epoch, step=len(log.steps),
                                   task=task.value, loss=value))
             losses.append(value)
@@ -268,12 +280,10 @@ def train_pipeline(
     if embeddings is not None:
         embedding_init = pca_init.init_vocab_embeddings(
             vocab, embeddings, config.d_model, seed=config.seed)
-    pretrain = plan.pretrain_epochs > 0
-    tasks = tuple(TraversalVariant) if pretrain else (TraversalVariant.PRE_ORDER,)
-    params = model.init_params(config, embedding_init=embedding_init, tasks=tasks)
+    params = model.init_params(config, embedding_init=embedding_init, tasks=plan.tasks)
     examples = dataset.augment_corpus(records, vocab)
     pre_log = pre_snapshot = None
-    if pretrain:
+    if plan.pretrain_epochs:
         params, pre_log = pretrain_multitask(params, examples, plan)
         pre_snapshot = params.copy()
     params, ft_log = finetune(params, examples[TraversalVariant.PRE_ORDER], plan)

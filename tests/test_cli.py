@@ -4,6 +4,7 @@ import math
 import struct
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -231,11 +232,28 @@ class TestTrain:
         assert "1 test record(s) quarantined at load" in capsys.readouterr().err
 
     def test_arena_past_the_address_space_exit_2(self, corpus_path, tmp_path, capsys):
-        """A 437 TiB parameter arena once ended in numpy's _ArrayMemoryError."""
+        """A 437 TiB parameter arena once ended in numpy's _ArrayMemoryError,
+        then was refused only after manifest.json was written."""
         rc = cli.main(["train", "--corpus", str(corpus_path), "--dim", "1000000",
                        "--heads", "1", "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "GiB) cannot be allocated" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_overflowing_step_is_one_numeric_error(self, corpus_path, tmp_path,
+                                                   capsys):
+        """{"pretrain_lr": 1e300} once printed six numpy RuntimeWarnings before
+        "pretrain step 1: loss=nan"; here any warning would raise."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"pretrain_lr": 1e300}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["train", "--corpus", str(corpus_path), "--config", str(cfg),
+                           "--dim", "8", "--heads", "2", "--out", str(tmp_path / "o")])
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: pretrain step 1: overflow encountered in ")
+        assert err.count("\n") == 1
 
     def test_zero_batch_size_exit_2(self, corpus_path, tmp_path, capsys):
         rc = cli.main(["train", "--corpus", str(corpus_path)]
@@ -870,6 +888,15 @@ class TestSweepInputs:
         assert self.sweep(corpus_path, test_path, tmp_path / "s",
                           "--config", str(cfg)) == 2
         assert "no examples for task 'pre'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_arena_past_the_address_space_refused_before_writing(
+            self, corpus_path, test_path, tmp_path, capsys):
+        """A sweep once trained its 8-wide cells, wrote manifest.json and
+        sweep.csv, and then exited 2 at the 437 TiB cell."""
+        assert self.sweep(corpus_path, test_path, tmp_path / "s", "--dims",
+                          "8,1000000") == 2
+        assert "GiB) cannot be allocated" in capsys.readouterr().err
         assert not (tmp_path / "s").exists()
 
     def test_pca_width_past_the_table_refused_before_writing(

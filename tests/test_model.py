@@ -658,7 +658,8 @@ class TestTapeMemory:
         dropout masks made this peak at 128 MB (numpy 2.4.6); keeping each
         sublayer's LayerNorm output and attention context, and the whole tape
         until the step ended, made it 79.6 MB; keeping cross-attention's keys
-        and values, 59.0 MB."""
+        and values, 59.0 MB; keeping every attention's queries and
+        self-attention's keys and values, 56.1 MB."""
         params = model.init_params(model.ModelConfig(
             src_vocab_size=30, tgt_vocab_size=30, d_model=128, n_heads=4,
             n_enc_layers=2, n_dec_layers=2, dropout=0.1, seed=1))
@@ -673,7 +674,7 @@ class TestTapeMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 58e6, f"step peak {peak / 1e6:.1f} MB"
+        assert peak <= 50e6, f"step peak {peak / 1e6:.1f} MB"
         states, enc_tape = model.encode_batch(params, src, rng=np.random.default_rng(1))
         logits, dec_tape = model.decode_batch(params, "pre", states, enc_tape["mask"],
                                               tgt[:, :-1], rng=np.random.default_rng(2))
@@ -687,11 +688,130 @@ class TestTapeMemory:
         assert not any("x_kv" in sub for kind, _, _, sub in entries if kind == "attn")
         cross = [sub for kind, _, _, sub in entries if kind == "cross"]
         assert len(cross) == 2 and all(sub["x_kv"] is states for sub in cross)
-        # Cross-attention's keys and values are rebuilt from the states too.
-        assert not any(key in sub for sub in cross for key in ("k", "v"))
+        # Every attention's queries, keys and values are rebuilt, so self- and
+        # cross-attention tape the same keys apart from the states.
+        attention = [sub for kind, _, _, sub in entries if kind != "ffn"]
+        assert not any(key in sub for sub in attention for key in ("q", "k", "v"))
+        assert len({frozenset(sub) - {"x_kv"} for sub in attention}) == 1
         # Backward frees the tape as it walks it.
         _, dlogits = model.loss_batch(logits, tgt)
         dstates = model.decode_bwd(dlogits, dec_tape, params, grads)
         assert dec_tape["caches"] == []
         model.encode_bwd(dstates, enc_tape, params, grads)
         assert enc_tape["caches"] == []
+
+
+def whole_tape_grads(params, enc_tape, dec_tape, dlogits):
+    """The simple form of decode_bwd then encode_bwd: every LayerNorm output,
+    query, key and value the tapes imply is made before the backward starts,
+    nothing is freed early, and every sum is out of place."""
+    t, h, p = params.tensors, params.config.n_heads, params.config.dropout
+    grads = model.zero_grads(params)
+    states = next(sub["x_kv"] for kind, _, _, sub in dec_tape["caches"]
+                  if kind == "cross")
+
+    def whole(tape):
+        entries = []
+        for kind, ln, ln_cache, sub in tape["caches"]:
+            e = dict(sub, kind=kind, ln=ln, **ln_cache)
+            e["x"] = t[f"{ln}.g"] * e["xhat"] + t[f"{ln}.b"]
+            if kind != "ffn":
+                e["x_kv"] = e["x"] if kind == "attn" else states
+                e.update(q=e["x"] @ t[f"{e['name']}.wq"],
+                         k=e["x_kv"] @ t[f"{e['name']}.wk"],
+                         v=e["x_kv"] @ t[f"{e['name']}.wv"])
+            entries.append(e)
+        return entries, dict(tape["lnf"])
+
+    def ln_bwd(d, e, name):
+        grads[f"{name}.g"] += (d * e["xhat"]).sum(0)
+        grads[f"{name}.b"] += d.sum(0)
+        dxhat = d * t[f"{name}.g"]
+        m1 = np.add.reduce(dxhat, -1, keepdims=True) / dxhat.shape[-1]
+        m2 = np.add.reduce(dxhat * e["xhat"], -1, keepdims=True) / dxhat.shape[-1]
+        return e["inv"] * (dxhat - m1 - e["xhat"] * m2)
+
+    def mha_bwd(d, e):
+        w = {k: t[f"{e['name']}.{k}"] for k in ("wq", "wk", "wv", "wo")}
+        d = model._dropout(d, e["keep"], p)
+        q, k, v, dctx = e["q"], e["k"], e["v"], d @ w["wo"].T
+        ctx, dq, dk, dv = (np.empty_like(a) for a in (q, q, k, v))
+        scale = 1.0 / np.sqrt(q.shape[1] // h)
+        for (qs, ks, _), a in zip(e["blocks"], e["attn"]):
+            qb, kb, vb, dcb = (model._split(x, side, h) for x, side in
+                               ((q, qs), (k, ks), (v, ks), (dctx, qs)))
+            ctx[qs.start:qs.stop] = model._merge(a @ vb, qs)
+            da = dcb @ vb.transpose(0, 1, 3, 2)
+            ds = (da - (da * a).sum(-1, keepdims=True)) * a * scale
+            dq[qs.start:qs.stop] = model._merge(ds @ kb, qs)
+            dk[ks.start:ks.stop] = model._merge(ds.transpose(0, 1, 3, 2) @ qb, ks)
+            dv[ks.start:ks.stop] = model._merge(a.transpose(0, 1, 3, 2) @ dcb, ks)
+        for name, x, dw in (("wo", ctx, d), ("wq", e["x"], dq), ("wk", e["x_kv"], dk),
+                            ("wv", e["x_kv"], dv)):
+            grads[f"{e['name']}.{name}"] += x.T @ dw
+        return dq @ w["wq"].T, dk @ w["wk"].T + dv @ w["wv"].T
+
+    def ffn_bwd(d, e):
+        d = model._dropout(d, e["keep"], p)
+        grads[f"{e['name']}.w2"] += e["hid"].T @ d
+        grads[f"{e['name']}.b2"] += d.sum(0)
+        dhid = (d @ t[f"{e['name']}.w2"].T) * (e["hid"] > 0)
+        grads[f"{e['name']}.w1"] += e["x"].T @ dhid
+        grads[f"{e['name']}.b1"] += dhid.sum(0)
+        return dhid @ t[f"{e['name']}.w1"].T
+
+    def walk(d, entries):
+        dstates = None
+        for e in reversed(entries):
+            if e["kind"] == "ffn":
+                dsub = ffn_bwd(d, e)
+            else:
+                dsub, dkv = mha_bwd(d, e)
+                if e["kind"] == "attn":
+                    dsub = dsub + dkv
+                else:
+                    dstates = dkv if dstates is None else dstates + dkv
+            d = d + ln_bwd(dsub, e, e["ln"])
+        return d, dstates
+
+    (dec, dec_lnf), (enc, enc_lnf) = whole(dec_tape), whole(enc_tape)
+    key = dec_tape["task"]
+    grads[f"dec.{key}.out.w"] += dec_tape["normed"].T @ dlogits
+    grads[f"dec.{key}.out.b"] += dlogits.sum(0)
+    d = ln_bwd(dlogits @ t[f"dec.{key}.out.w"].T, dec_lnf, f"dec.{key}.ln_f")
+    d, dstates = walk(d, dec)
+    np.add.at(grads[f"dec.{key}.tgt_embed"], dec_tape["ids"], d)
+    d, _ = walk(ln_bwd(dstates, enc_lnf, "enc.ln_f"), enc)
+    np.add.at(grads["src_embed"], enc_tape["ids"], d)
+    return grads
+
+
+class TestLeanBackward:
+    @pytest.mark.parametrize("block", [64, model.ATTN_BLOCK])
+    def test_tape_emptied_and_grads_bit_equal_to_whole_tape(self, block):
+        """Backward rebuilds queries, keys, values and contexts, sums in place
+        and frees temporaries early; none of that may change a bit."""
+        params = model.init_params(tiny_config(d_model=24, n_heads=4, n_enc_layers=2,
+                                               n_dec_layers=2, dropout=0.1, seed=15))
+        src, tgt = random_batch(np.random.default_rng(8), BATCHES["mixed"])
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(model, "ATTN_BLOCK", block)
+            states, enc_tape = model.encode_batch(params, src,
+                                                  rng=np.random.default_rng(1))
+            logits, dec_tape = model.decode_batch(
+                params, "post", states, enc_tape["mask"], tgt[:, :-1],
+                rng=np.random.default_rng(2))
+        _, dlogits = model.loss_batch(logits, tgt)
+        want = whole_tape_grads(params, enc_tape, dec_tape, dlogits)
+        entries = [cache for tape in (enc_tape, dec_tape) for _, _, ln_cache, sub in
+                   tape["caches"] for cache in (ln_cache, sub)]
+        entries += [enc_tape["lnf"], dec_tape["lnf"]]
+        assert all(entries)
+        grads = model.zero_grads(params)
+        dstates = model.decode_bwd(dlogits, dec_tape, params, grads)
+        model.encode_bwd(dstates, enc_tape, params, grads)
+        assert enc_tape["caches"] == dec_tape["caches"] == []
+        assert all(cache == {} for cache in entries)
+        assert want.flat.any()
+        for name in params.tensors:
+            assert grads[name].tobytes() == want[name].tobytes(), name
