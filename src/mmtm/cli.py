@@ -61,7 +61,7 @@ def _positive_ints(text: str) -> list[int]:
             f"expected a comma list of integers, got {text!r}") from None
     if min(values) < 1:
         raise argparse.ArgumentTypeError(f"every value must be >= 1, got {text!r}")
-    return values
+    return list(dict.fromkeys(values))  # a repeated value keeps its first place
 
 
 def _manifest(command: str, seed: int, inputs: dict, config: dict, plan: dict,
@@ -247,9 +247,22 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _refuse_attention_ids(records: list):
+    """`--attention-out` writes `<id>.json` per record: refuse an id that is
+    not a plain file name, or that another record shares."""
+    seen = set()
+    for rid in (record.id for record in records):
+        if rid in ("", ".", "..") or "/" in rid or "\0" in rid or rid in seen:
+            raise CliInputError(f"--attention-out: record id {rid!r} is " + (
+                "not unique" if rid in seen else "not a plain file name"))
+        seen.add(rid)
+
+
 def cmd_eval(args) -> int:
     trained = checkpoint.load(args.checkpoint)
     load = _load_test(args.test)
+    if args.attention_out:
+        _refuse_attention_ids(load.records)
     trace = [] if args.attention_out else None
     report = evaluate.score(trained, load.records, cross_trace=trace,
                             quarantined=load.quarantined)
@@ -275,8 +288,6 @@ def cmd_sweep(args) -> int:
     cells = []  # every cell's config is built, so checked, before a file is written
     for dim, layers, init_kind in itertools.product(args.dims, args.layer_list, inits):
         cfg = dict(cfg_kv, d_model=dim, n_enc_layers=layers, n_dec_layers=layers)
-        if cfg["n_heads"] >= 1 and dim % cfg["n_heads"] != 0:
-            cfg["n_heads"] = 2 if dim % 2 == 0 else 1
         cells.append((dim, layers, init_kind, model.ModelConfig(
             src_vocab_size=vocab.src_size, tgt_vocab_size=vocab.tgt_size, **cfg)))
     _refuse_untrainable(load.records, vocab, [cfg for *_, cfg in cells], plan,
@@ -302,7 +313,6 @@ def cmd_sweep(args) -> int:
         rows.append({"dim": dim, "layers": layers, "init": init_kind,
                      "accuracy": f"{report.accuracy:.6f}"})
         _write_sweep_csv(csv_path, rows)
-    _write_sweep_csv(csv_path, rows)
     print(f"sweep complete: {len(rows)} rows in {csv_path}")
     return EXIT_OK
 

@@ -1,5 +1,4 @@
-"""Answer-accuracy evaluation with cohort breakdowns, model comparison, and
-attention export.
+"""Answer-accuracy evaluation with cohort breakdowns, and attention export.
 
 A prediction is correct when the greedily decoded pre-order label rebuilds
 into a tree whose evaluation matches the gold answer within a relative
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
@@ -37,13 +35,6 @@ ANSWER_RTOL = Fraction(1, 10000)
 
 COHORT_ROWS = ("Full Set", "One-Op", "Two-Op", "ADD", "SUB", "MUL", "DIV")
 _OP_COHORTS = {"ADD": "+", "SUB": "-", "MUL": "*", "DIV": "/"}
-
-
-class ComparisonClass(Enum):
-    RR = "RR"
-    WR = "WR"
-    RW = "RW"
-    WW = "WW"
 
 
 @dataclass
@@ -165,21 +156,6 @@ def score(trained: TrainedModel, records: list[MwpRecord],
         cohorts=cohorts,
         verdicts=verdicts,
     )
-
-
-def compare_models(report_a: EvalReport, report_b: EvalReport) -> dict:
-    """Classify records by (first model, second model) correctness: R or W."""
-    a = {v.record_id: v.correct for v in report_a.verdicts}
-    b = {v.record_id: v.correct for v in report_b.verdicts}
-    if set(a) != set(b):
-        raise ValueError("reports cover different record sets")
-    per_record = {}
-    counts = {c.value: 0 for c in ComparisonClass}
-    for rid in a:
-        cls = ("R" if a[rid] else "W") + ("R" if b[rid] else "W")
-        per_record[rid] = cls
-        counts[cls] += 1
-    return {"per_record": per_record, "counts": counts}
 
 
 def attention_report(record: MwpRecord, verdict: Verdict, cross: np.ndarray,

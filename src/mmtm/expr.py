@@ -20,8 +20,8 @@ _NUMBER_RE = re.compile(r"^\d+(?:\.\d+)?$")
 # Longest infix equation parse_infix accepts, in tokens: 128 operands joined
 # by 127 operators (a valid equation has an odd count). The parser and the
 # label builders use stacks, but the tree walkers (traverse, evaluate,
-# to_infix) recurse one frame per level, so this keeps the deepest tree
-# (128 levels) far inside Python's default recursion limit of 1000.
+# operators_of, iter_leaves) recurse one frame per level, so this keeps the
+# deepest tree (128 levels) far inside Python's default recursion limit of 1000.
 MAX_EQUATION_TOKENS = 255
 
 
@@ -148,12 +148,6 @@ def parse_number(token: str) -> Fraction:
         return Fraction(token.replace(",", ""))
     except ValueError:  # more digits than Python converts to an int (4300)
         raise NumberTooLong(f"a number of {len(token)} characters") from None
-
-
-def node_count(tree: ExprTree) -> int:
-    if isinstance(tree, Leaf):
-        return 1
-    return 1 + node_count(tree.left) + node_count(tree.right)
 
 
 def operators_of(tree: ExprTree) -> list[str]:
@@ -324,13 +318,6 @@ def evaluate(tree: ExprTree, quantities: list[Fraction]) -> Fraction:
     if right == 0:
         raise DivisionByZero(f"{format_number(left)} / 0")
     return left / right
-
-
-def to_infix(tree: ExprTree) -> str:
-    """Fully parenthesized infix rendering."""
-    if isinstance(tree, Leaf):
-        return tree.operand.token
-    return f"( {to_infix(tree.left)} {tree.op} {to_infix(tree.right)} )"
 
 
 def iter_leaves(tree: ExprTree) -> Iterator[Leaf]:

@@ -91,13 +91,6 @@ def load_embeddings_tsv(path: str | Path) -> PretrainedEmbeddings:
     return PretrainedEmbeddings(_TsvRows(str(path), lines), width)
 
 
-def write_embeddings_tsv(path: str | Path, pretrained: PretrainedEmbeddings) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"D={pretrained.width}\n")
-        for token, vec in pretrained.vectors.items():
-            fh.write(token + "\t" + "\t".join(repr(float(v)) for v in vec) + "\n")
-
-
 def pca_project(matrix: np.ndarray, d: int):
     """Project rows onto the top-d principal directions.
 

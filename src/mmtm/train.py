@@ -5,7 +5,8 @@ traversals, taken round-robin in homogeneous batches, to pre-train; pre-order
 alone to fine-tune. Every batch updates the shared encoder plus that task's
 decoder only, so fine-tuning never touches the in-order/post-order decoders'
 arena spans, which tests assert by checksum. A plan with `pretrain_epochs` 0
-is the no-pre-training arm: its model has the pre-order decoder only.
+is the no-pre-training arm: its model has the pre-order decoder only. The
+width and scratch-embedding ablations are `d_model` and no `embeddings`.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import checkpoint, dataset, evaluate, expr, model, pca_init
+from . import checkpoint, dataset, expr, model, pca_init
 from .dataset import MwpRecord, TaskExample, Vocab
 from .expr import TraversalVariant
 from .model import ModelConfig, ParamStore
@@ -294,34 +295,3 @@ def train_pipeline(
         pretrain_params=pre_snapshot,
         quarantined=quarantined,
     )
-
-
-ABLATION_ARMS = ("full", "no_pretrain", "dim768", "scratch_embeddings")
-
-
-def run_ablation(
-    arm: str,
-    train_records: list[MwpRecord],
-    test_records: list[MwpRecord],
-    config: ModelConfig,
-    plan: TrainPlan,
-    embeddings: Optional[pca_init.PretrainedEmbeddings] = None,
-) -> dict:
-    """Toggle exactly one factor relative to the full configuration."""
-    if arm not in ABLATION_ARMS:
-        raise TrainError(f"unknown ablation arm {arm!r}")
-    arm_embeddings = None if arm == "scratch_embeddings" else embeddings
-    if arm == "dim768":
-        config = replace(config, d_model=768, d_ffn=4 * 768)
-    if arm == "no_pretrain":
-        plan = replace(plan, pretrain_epochs=0)
-    result = train_pipeline(train_records, config, plan, embeddings=arm_embeddings)
-    report = evaluate.score(result.trained, test_records)
-    return {
-        "arm": arm,
-        "d_model": result.trained.config.d_model,
-        "pretrained": result.pretrain_log is not None,
-        "embedding_init": "pca" if arm_embeddings is not None else "random",
-        "report": report,
-        "model": result.trained,
-    }

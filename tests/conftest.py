@@ -1,10 +1,12 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import settings
 
-from mmtm import dataset, model, synth, train
+import synth
+from mmtm import dataset, evaluate, model, train
 from mmtm.expr import Constant, Leaf, Node, OPERATORS, Placeholder
 
 
@@ -36,6 +38,41 @@ def random_tree(rng: np.random.Generator, max_depth: int, n_placeholders: int = 
 def make_records(n: int, seed: int = 0):
     rows = synth.generate_raw(n, seed=seed)
     return [dataset.make_record(raw) for raw in rows]
+
+
+def write_embeddings_tsv(path, pretrained):
+    """Write `pretrained` in the TSV format `pca_init.load_embeddings_tsv` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"D={pretrained.width}\n")
+        for token, vec in pretrained.vectors.items():
+            fh.write(token + "\t" + "\t".join(repr(float(v)) for v in vec) + "\n")
+
+
+ABLATION_ARMS = ("full", "no_pretrain", "dim768", "scratch_embeddings")
+
+
+def run_ablation(arm, train_records, test_records, config, plan, embeddings=None):
+    """Train and score one ablation arm: toggle exactly one factor relative to
+    the full configuration, as `mmtm train`'s --no-pretrain, --dim 768 and a
+    run without --embeddings do."""
+    if arm not in ABLATION_ARMS:
+        raise train.TrainError(f"unknown ablation arm {arm!r}")
+    arm_embeddings = None if arm == "scratch_embeddings" else embeddings
+    if arm == "dim768":
+        config = replace(config, d_model=768, d_ffn=4 * 768)
+    if arm == "no_pretrain":
+        plan = replace(plan, pretrain_epochs=0)
+    result = train.train_pipeline(train_records, config, plan,
+                                  embeddings=arm_embeddings)
+    report = evaluate.score(result.trained, test_records)
+    return {
+        "arm": arm,
+        "d_model": result.trained.config.d_model,
+        "pretrained": result.pretrain_log is not None,
+        "embedding_init": "pca" if arm_embeddings is not None else "random",
+        "report": report,
+        "model": result.trained,
+    }
 
 
 def long_question_row(rid: str, n_tokens: int) -> dict:

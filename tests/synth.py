@@ -1,11 +1,14 @@
-"""Deterministic synthetic word-problem corpora for smoke tests and demos."""
+"""Deterministic synthetic word-problem corpora for the tests."""
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+
+from mmtm import expr
 
 _NAMES = ("john", "mary", "sam", "rita", "omar", "lena", "chen", "ana")
 _ITEMS = ("apples", "pencils", "books", "marbles", "coins", "stickers")
@@ -73,10 +76,6 @@ def generate_raw(n: int, seed: int = 0) -> list[dict]:
 
 
 def _eval_equation(equation: str, quantities: list[int]):
-    from fractions import Fraction
-
-    from . import expr
-
     value = expr.evaluate(expr.parse_infix(equation, len(quantities)),
                           [Fraction(q) for q in quantities])
     return int(value) if value.denominator == 1 else float(value)

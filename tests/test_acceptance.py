@@ -9,12 +9,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from mmtm import (checkpoint, cli, dataset, evaluate, expr, model, pca_init,
-                  synth, train)
+import synth
+from mmtm import checkpoint, cli, dataset, evaluate, expr, model, pca_init, train
 from mmtm.dataset import BOS, TaskExample
 from mmtm.expr import Constant, Leaf, Node, Placeholder, TraversalVariant
 from mmtm.pca_init import PretrainedEmbeddings
-from conftest import make_records, random_tree
+from conftest import make_records, random_tree, run_ablation, write_embeddings_tsv
 
 
 # -- criterion 1: traversal round-trip ---------------------------------------
@@ -62,6 +62,13 @@ def _enumerate_trees(max_ops):
                 yield _instantiate(shape, ops, [0, 0])
 
 
+def to_infix(tree) -> str:
+    """Fully parenthesized infix rendering."""
+    if isinstance(tree, Leaf):
+        return tree.operand.token
+    return f"( {to_infix(tree.left)} {tree.op} {to_infix(tree.right)} )"
+
+
 def _oracle_eval(infix_text, quantities):
     """Independent recursive-descent evaluator over parenthesized infix."""
     tokens = infix_text.split()
@@ -100,7 +107,7 @@ def test_c02_evaluation_matches_independent_oracle():
     checked = skipped = 0
     for tree in _enumerate_trees(3):
         n_leaves = sum(1 for _ in expr.iter_leaves(tree))
-        infix = expr.to_infix(tree)
+        infix = to_infix(tree)
         for _ in range(20):
             q = [Fraction(int(v)) for v in rng.integers(-4, 10, size=n_leaves)]
             try:
@@ -338,8 +345,8 @@ def test_c10_report_rows_and_ablation_arms():
     for arm in ("no_pretrain", "dim768", "scratch_embeddings"):
         # 768 exceeds the toy embedding width, so that arm trains from scratch
         arm_emb = None if arm == "dim768" else embeddings
-        out = train.run_ablation(arm, records, records, cfg, plan,
-                                 embeddings=arm_emb)
+        out = run_ablation(arm, records, records, cfg, plan,
+                           embeddings=arm_emb)
         reports[arm] = out["report"]
         table = out["report"].render_table()
         for row in evaluate.COHORT_ROWS:
@@ -353,10 +360,10 @@ def test_c10_arm_toggles_exactly_one_factor():
                             n_heads=4, dropout=0.0, seed=1011)
     plan = train.TrainPlan(pretrain_epochs=1, finetune_epochs=1, batch_size=8,
                            seed=1011)
-    out = train.run_ablation("dim768", records, records, cfg, plan)
+    out = run_ablation("dim768", records, records, cfg, plan)
     assert out["d_model"] == 768
     assert out["pretrained"] is True
-    out = train.run_ablation("scratch_embeddings", records, records, cfg, plan)
+    out = run_ablation("scratch_embeddings", records, records, cfg, plan)
     assert out["embedding_init"] == "random"
     assert out["d_model"] == 16
 
@@ -376,7 +383,7 @@ def test_c11_informational_real_format_pipeline(tmp_path, capsys):
     for line in train_path.read_text().splitlines():
         words.update(dataset.tokenize(json.loads(line)["question"].lower()))
     emb_path = tmp_path / "roberta_like.tsv"
-    pca_init.write_embeddings_tsv(emb_path, PretrainedEmbeddings(
+    write_embeddings_tsv(emb_path, PretrainedEmbeddings(
         {w: rng.normal(size=48) for w in sorted(words)}, 48))
 
     out_dir = tmp_path / "run"

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmtm import checkpoint, cli, dataset, evaluate, model, pca_init, synth, train
+import synth
+from mmtm import checkpoint, cli, dataset, evaluate, model, train
 from mmtm.pca_init import PretrainedEmbeddings
-from conftest import long_question_row, oversized_equation_row
+from conftest import long_question_row, oversized_equation_row, write_embeddings_tsv
 
 
 @pytest.fixture(scope="module")
@@ -43,7 +44,7 @@ def write_embeddings(path, corpus_path, width, shared=True):
     for line in corpus_path.read_text().splitlines():
         words.update(json.loads(line)["question"].split())
     rng = np.random.default_rng(0)
-    pca_init.write_embeddings_tsv(path, PretrainedEmbeddings(
+    write_embeddings_tsv(path, PretrainedEmbeddings(
         {w if shared else f"zz{w}": rng.normal(size=width) for w in sorted(words)},
         width))
     return path
@@ -434,6 +435,32 @@ class TestEval:
         assert rc == 0
         assert len(list(att.glob("*.json"))) == 6
 
+    @pytest.mark.parametrize("ids", [
+        ["../escaped"], ["ABSOLUTE"], [""], ["."], [".."], ["a/b"], ["nul\0id"],
+        ["dup", "dup"]], ids=["parent", "absolute", "empty", "dot", "dotdot",
+                              "slash", "nul", "shared"])
+    def test_attention_out_refuses_ids_that_are_not_one_file_each(
+            self, trained_dir, test_path, tmp_path, capsys, ids):
+        """Record ids once chose where attention files went: `../escaped` was
+        written next to the directory, an absolute id at its own path, and
+        two records with one id to one file."""
+        ids = [str(tmp_path / "absolute") if i == "ABSOLUTE" else i for i in ids]
+        rows = [json.loads(line) for line in test_path.read_text().splitlines()]
+        for row, rid in zip(rows, ids):
+            row["id"] = rid
+        test = tmp_path / "test.jsonl"
+        test.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        report_path, att = tmp_path / "report.json", tmp_path / "att"
+        checkpoint_path = str(trained_dir / "checkpoint_final.mmtm")
+        rc = cli.main(["eval", "--checkpoint", checkpoint_path, "--test", str(test),
+                       "--report", str(report_path), "--attention-out", str(att)])
+        assert rc == 2
+        assert f"--attention-out: record id {ids[0]!r} is not" in \
+            capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["test.jsonl"]
+        assert cli.main(["eval", "--checkpoint", checkpoint_path, "--test",
+                         str(test), "--report", str(report_path)]) == 0
+
     def test_overlength_question_reported_wrong(self, trained_dir, test_path,
                                                 tmp_path):
         test = tmp_path / "test.jsonl"
@@ -581,7 +608,7 @@ class TestSweep:
         words = set()
         for line in corpus_path.read_text().splitlines():
             words.update(json.loads(line)["question"].split())
-        pca_init.write_embeddings_tsv(emb_path, PretrainedEmbeddings(
+        write_embeddings_tsv(emb_path, PretrainedEmbeddings(
             {w: rng.normal(size=24) for w in sorted(words)}, 24))
         args = ["sweep", "--corpus", str(corpus_path), "--test", str(test_path),
                 "--dims", "8,16", "--layers", "1", "--embeddings", str(emb_path),
@@ -815,17 +842,34 @@ class TestSweepInputs:
         row = (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1]
         assert row == f"8,1,scratch,{accuracy:.6f}"
 
-    def test_head_fallback(self, corpus_path, test_path, tmp_path, monkeypatch):
-        """--dims 6 with the default 4 heads trains with 2."""
-        pipeline, heads = train.train_pipeline, []
+    @pytest.mark.parametrize("dims", ["6", "8,6"])
+    def test_width_not_a_multiple_of_the_heads_refused_before_writing(
+            self, corpus_path, test_path, tmp_path, capsys, dims):
+        """--dims 6 with the default 4 heads once trained that cell with 2
+        heads, exited 0 and recorded n_heads 4 in the manifest."""
+        assert self.sweep(corpus_path, test_path, tmp_path / "s", "--dims", dims) == 2
+        assert "error: d_model=6 not divisible by n_heads=4" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    def test_repeated_grid_value_runs_once(self, corpus_path, test_path, tmp_path,
+                                           monkeypatch):
+        """--dims 8,8 once trained the (8, 1, scratch) cell twice and wrote two
+        identical rows."""
+        pipeline, trained = train.train_pipeline, []
 
         def spy(records, config, *args, **kwargs):
-            heads.append(config.n_heads)
+            trained.append((config.d_model, config.n_enc_layers))
             return pipeline(records, config, *args, **kwargs)
 
         monkeypatch.setattr(train, "train_pipeline", spy)
-        assert self.sweep(corpus_path, test_path, tmp_path / "s", "--dims", "6") == 0
-        assert heads == [2]
+        out = tmp_path / "s"
+        assert self.sweep(corpus_path, test_path, out, "--dims", "8,4,8",
+                          "--layers", "1,1") == 0
+        assert trained == [(8, 1), (4, 1)]
+        rows = (out / "sweep.csv").read_text().splitlines()[1:]
+        assert [row.rsplit(",", 1)[0] for row in rows] == ["8,1,scratch", "4,1,scratch"]
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert (config["dims"], config["layers"]) == ([8, 4], [1])
 
     @pytest.mark.parametrize("content,message", [
         ({"d_model": "x"}, "'d_model' must be int, got 'x'"),

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mmtm import dataset, expr, synth
+import synth
+from mmtm import dataset, expr
 from mmtm.dataset import PAD, BOS, EOS, UNK
 from mmtm.expr import TraversalVariant
 from conftest import make_records, oversized_equation_row

@@ -1,20 +1,11 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from mmtm import dataset, evaluate, expr, model, synth
-from mmtm.evaluate import EvalReport, Verdict
+import synth
+from mmtm import dataset, evaluate, expr, model
+from mmtm.evaluate import Verdict
 from conftest import long_question_row
-
-
-def make_report(flags):
-    verdicts = [Verdict(f"r{i}", [], True, None, ok, None if ok else
-                        "wrong_answer") for i, ok in enumerate(flags)]
-    cohorts = {row: {"count": 0, "correct": 0, "accuracy": "n/a"}
-               for row in evaluate.COHORT_ROWS}
-    return EvalReport(total=len(flags), correct=sum(flags), cohorts=cohorts,
-                      verdicts=verdicts)
 
 
 class TestAnswersMatch:
@@ -152,31 +143,6 @@ class TestScore:
         table = evaluate.score(memorized, corpus12).render_table()
         for row in evaluate.COHORT_ROWS:
             assert row in table
-
-
-class TestCompareModels:
-    def test_identical_reports_only_rr_ww(self):
-        a = make_report([True, False, True])
-        out = evaluate.compare_models(a, a)
-        assert out["counts"] == {"RR": 2, "WW": 1, "WR": 0, "RW": 0}
-
-    def test_first_right_second_wrong_is_rw(self):
-        a = make_report([True, True])
-        b = make_report([False, False])
-        out = evaluate.compare_models(a, b)
-        assert out["counts"]["RW"] == 2
-        assert set(out["per_record"].values()) == {"RW"}
-
-    def test_empty(self):
-        out = evaluate.compare_models(make_report([]), make_report([]))
-        assert sum(out["counts"].values()) == 0
-
-    def test_counts_sum_to_total(self):
-        rng = np.random.default_rng(3)
-        flags_a = [bool(v) for v in rng.integers(0, 2, 20)]
-        flags_b = [bool(v) for v in rng.integers(0, 2, 20)]
-        out = evaluate.compare_models(make_report(flags_a), make_report(flags_b))
-        assert sum(out["counts"].values()) == 20
 
 
 class TestExportAttention:

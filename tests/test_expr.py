@@ -24,6 +24,12 @@ from conftest import random_tree
 P0, P1, P2 = Leaf(Placeholder(0)), Leaf(Placeholder(1)), Leaf(Placeholder(2))
 
 
+def node_count(tree) -> int:
+    if isinstance(tree, Leaf):
+        return 1
+    return 1 + node_count(tree.left) + node_count(tree.right)
+
+
 class TestParseInfix:
     def test_two_leaf_sum(self):
         assert expr.parse_infix("number0 + number1", 2) == Node("+", P0, P1)
@@ -149,7 +155,7 @@ class TestTraverse:
         rng = np.random.default_rng(4)
         for _ in range(50):
             tree = random_tree(rng, 6)
-            n = expr.node_count(tree)
+            n = node_count(tree)
             for variant in TraversalVariant:
                 assert len(expr.traverse(tree, variant)) == n
 

@@ -3,6 +3,7 @@ import pytest
 
 from mmtm import dataset, pca_init
 from mmtm.pca_init import BadDim, NoOverlap, PcaError, PretrainedEmbeddings
+from conftest import write_embeddings_tsv
 
 
 def brute_force_pca(matrix, d):
@@ -186,7 +187,7 @@ class TestTsvRoundTrip:
         pre = PretrainedEmbeddings(
             {"cat": np.array([1.0, 2.0]), "dog": np.array([-0.5, 0.25])}, 2)
         path = tmp_path / "emb.tsv"
-        pca_init.write_embeddings_tsv(path, pre)
+        write_embeddings_tsv(path, pre)
         loaded = pca_init.load_embeddings_tsv(path)
         assert loaded.width == 2
         np.testing.assert_array_equal(loaded.vectors["dog"], pre.vectors["dog"])

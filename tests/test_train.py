@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 import mmtm
-from mmtm import dataset, expr, model, synth, train
+import synth
+from mmtm import dataset, expr, model, train
 from mmtm.dataset import BOS
 from mmtm.expr import TraversalVariant
-from conftest import long_question_row, make_records
+from conftest import long_question_row, make_records, run_ablation
 
 
 def checksum(params, prefix):
@@ -366,7 +367,7 @@ class TestAblation:
                                 n_heads=2, seed=7)
         plan = train.TrainPlan(pretrain_epochs=1, finetune_epochs=1, batch_size=8,
                                seed=7)
-        out = train.run_ablation("no_pretrain", records, records, cfg, plan)
+        out = run_ablation("no_pretrain", records, records, cfg, plan)
         assert out["pretrained"] is False
         assert out["report"].total == 8
         params = out["model"].params
@@ -380,11 +381,7 @@ class TestAblation:
                                 n_heads=2, seed=7)
         plan = train.TrainPlan(pretrain_epochs=1, finetune_epochs=0, batch_size=8)
         with pytest.raises(train.TrainError, match="nothing would train"):
-            train.run_ablation("no_pretrain", records, records, cfg, plan)
-
-    def test_unknown_arm(self):
-        with pytest.raises(train.TrainError):
-            train.run_ablation("bogus", [], [], None, None)
+            run_ablation("no_pretrain", records, records, cfg, plan)
 
 
 class TestParseOnce:
@@ -419,7 +416,8 @@ def _has_glibc():
 # Two runs of one small d64 fine-tuning stage; prints the minor faults of each.
 _STAGE_TWICE = """
 import resource
-from mmtm import dataset, model, synth, train
+import synth
+from mmtm import dataset, model, train
 from mmtm.expr import TraversalVariant
 records = [dataset.make_record(raw) for raw in synth.generate_raw(48, seed=3)]
 vocab = dataset.build_vocab(records)
@@ -441,7 +439,8 @@ class TestAllocator:
         # A fresh process, so nothing freed earlier in the session has raised
         # glibc's dynamic mmap threshold. Per-step temporaries over 128 KiB
         # must come from the heap the first run left, not from new mappings.
-        env = {**os.environ, "PYTHONPATH": str(Path(mmtm.__file__).parents[1])}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(Path(mmtm.__file__).parents[1]), str(Path(__file__).parent)])}
         proc = subprocess.run([sys.executable, "-c", _STAGE_TWICE], env=env,
                               capture_output=True, text=True, check=True)
         faults = [int(line) for line in proc.stdout.split()]
