@@ -27,6 +27,7 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_MISMATCH = 3
 EXIT_NUMERIC = 4
+NAME_MAX = 255  # Linux's longest file name, in bytes; the directory may not exist yet
 
 
 class CliInputError(Exception):
@@ -249,12 +250,14 @@ def cmd_train(args) -> int:
 
 def _refuse_attention_ids(records: list):
     """`--attention-out` writes `<id>.json` per record: refuse an id that is
-    not a plain file name, or that another record shares."""
+    not a plain file name of at most NAME_MAX bytes, or that another shares."""
     seen = set()
     for rid in (record.id for record in records):
-        if rid in ("", ".", "..") or "/" in rid or "\0" in rid or rid in seen:
+        long = len(f"{rid}.json".encode(errors="surrogatepass")) > NAME_MAX
+        if rid in ("", ".", "..") or "/" in rid or "\0" in rid or long or rid in seen:
             raise CliInputError(f"--attention-out: record id {rid!r} is " + (
-                "not unique" if rid in seen else "not a plain file name"))
+                "not unique" if rid in seen else "too long for a file name" if long
+                else "not a plain file name"))
         seen.add(rid)
 
 
@@ -263,6 +266,8 @@ def cmd_eval(args) -> int:
     load = _load_test(args.test)
     if args.attention_out:
         _refuse_attention_ids(load.records)
+    if args.report:  # before decoding, so a path that cannot be written fails first
+        Path(args.report).parent.mkdir(parents=True, exist_ok=True)
     trace = [] if args.attention_out else None
     report = evaluate.score(trained, load.records, cross_trace=trace,
                             quarantined=load.quarantined)

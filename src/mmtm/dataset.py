@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import re
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -56,12 +55,7 @@ class MwpRecord:
     op_count: int
     op_types: frozenset[str]
     # The tree `make_record` parsed while validating; trees are immutable.
-    parsed: ExprTree | None = field(default=None, compare=False, repr=False)
-
-    def tree(self) -> ExprTree:
-        if self.parsed is not None:
-            return self.parsed
-        return expr.parse_infix(self.equation, len(self.quantities))
+    tree: ExprTree = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -163,7 +157,7 @@ def make_record(raw: dict, line_no: int = 0) -> MwpRecord:
         quantities=tuple(quantities),
         op_count=len(ops),
         op_types=frozenset(ops),
-        parsed=tree,
+        tree=tree,
     )
 
 
@@ -234,13 +228,10 @@ class Vocab:
         return out
 
 
-def build_vocab(records: list[MwpRecord], min_count: int = 1) -> Vocab:
-    """Source vocab from question tokens (frequency floor); target vocab is
+def build_vocab(records: list[MwpRecord]) -> Vocab:
+    """Source vocab: every question token seen, sorted; target vocab is
     operators + placeholders + constants seen in gold equations."""
-    counts: Counter[str] = Counter()
-    for rec in records:
-        counts.update(tokenize(rec.masked_question))
-    src = sorted(t for t, c in counts.items() if c >= min_count)
+    src = sorted({t for rec in records for t in tokenize(rec.masked_question)})
 
     max_ph = 0
     constants: set[str] = set()
@@ -248,14 +239,11 @@ def build_vocab(records: list[MwpRecord], min_count: int = 1) -> Vocab:
     for rec in records:
         max_ph = max(max_ph, len(rec.quantities))
         seen_ops |= rec.op_types
-        for leaf in expr.iter_leaves(rec.tree()):
+        for leaf in expr.iter_leaves(rec.tree):
             if isinstance(leaf.operand, expr.Constant):
                 constants.add(leaf.operand.token)
-    tgt = (
-        [op for op in expr.OPERATORS if op in seen_ops]
-        + [f"number{i}" for i in range(max_ph)]
-        + sorted(constants)
-    )
+    tgt = ([op for op in expr.OPERATORS if op in seen_ops]
+           + [f"number{i}" for i in range(max_ph)] + sorted(constants))
     return Vocab(src, tgt)
 
 
@@ -263,7 +251,6 @@ def augment_tokens(records: list[MwpRecord]) -> dict[TraversalVariant, list[dict
     """Token-level task rows, one per record per traversal order."""
     out: dict[TraversalVariant, list[dict]] = {v: [] for v in TraversalVariant}
     for rec in records:
-        tree = rec.tree()
         source = tokenize(rec.masked_question)
         for variant in TraversalVariant:
             out[variant].append(
@@ -271,7 +258,7 @@ def augment_tokens(records: list[MwpRecord]) -> dict[TraversalVariant, list[dict
                     "record_id": rec.id,
                     "task": variant.value,
                     "source": source,
-                    "target": expr.traverse(tree, variant),
+                    "target": expr.traverse(rec.tree, variant),
                 }
             )
     return out

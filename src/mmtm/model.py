@@ -177,13 +177,6 @@ class Arena(Mapping):
         return len(self._views)
 
 
-def _variant(task: TraversalVariant | str) -> TraversalVariant:
-    try:
-        return TraversalVariant(task)
-    except ValueError:
-        raise UnknownTask(f"unknown task {task!r}") from None
-
-
 def _trains(name: str, task: TraversalVariant) -> bool:
     """Whether training on `task` updates tensor `name`: the shared encoder
     and the task's own decoder."""
@@ -203,16 +196,9 @@ class ParamStore:
     def copy(self) -> "ParamStore":
         return replace(self, tensors=Arena(self.flat.copy(), self.tensors.shapes))
 
-    def names(self, prefix: str = "") -> list[str]:
-        return [n for n in self.tensors if n.startswith(prefix)]
-
-    def size(self) -> int:
-        return self.flat.size
-
-    def spans(self, task) -> tuple[tuple[int, int], ...]:
+    def spans(self, task: TraversalVariant) -> tuple[tuple[int, int], ...]:
         """(start, stop) spans of `flat` that training on `task` updates: the
         shared encoder and that task's decoder, adjacent spans merged."""
-        task = _variant(task)
         spans: list[tuple[int, int]] = []
         stop = 0
         for name, view in self.tensors.items():
@@ -223,12 +209,9 @@ class ParamStore:
                 spans.append((start, stop))
         return tuple(spans)
 
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.tensors[name]
-
 
 def param_count(config: ModelConfig, tasks: Sequence = tuple(TraversalVariant)) -> int:
-    """Closed-form parameter count; must equal ParamStore.size()."""
+    """Closed-form parameter count; must equal the size of init_params' arena."""
     d, f = config.d_model, config.d_ffn
     attn = 4 * d * d
     ffn = d * f + f + f * d + d
@@ -280,16 +263,12 @@ def zero_arena(config: ModelConfig, tasks: Sequence[TraversalVariant]) -> Arena:
     return Arena(flat, shapes)
 
 
-def init_params(
-    config: ModelConfig,
-    embedding_init: Optional[np.ndarray] = None,
-    tasks: Sequence = tuple(TraversalVariant),
-) -> ParamStore:
+def init_params(config: ModelConfig, embedding_init: Optional[np.ndarray] = None,
+                tasks: Sequence = tuple(TraversalVariant)) -> ParamStore:
     """Xavier-uniform weights from the config seed, drawn straight into the
     arena; the source embedding table may be supplied (e.g. PCA-projected
     pretrained vectors). LayerNorm gains start at 1 and biases at 0."""
-    tasks = tuple(_variant(t) for t in tasks)
-    params = ParamStore(config, zero_arena(config, tasks), tasks)
+    params = ParamStore(config, zero_arena(config, tasks), tuple(tasks))
     rng = np.random.default_rng(config.seed)
     t, shapes = params.tensors, params.tensors.shapes
     if embedding_init is not None and embedding_init.shape != shapes["src_embed"]:
@@ -345,7 +324,7 @@ def _ln_bwd(dout, cache, params, grads, name):
     xhat, inv = cache.pop("xhat"), cache.pop("inv")
     grads[f"{name}.g"] += (dout * xhat).sum(0)
     grads[f"{name}.b"] += dout.sum(0)
-    dxhat = dout * params[f"{name}.g"]
+    dxhat = dout * params.tensors[f"{name}.g"]
     d = dxhat.shape[-1]
     m1 = np.add.reduce(dxhat, -1, keepdims=True) / d
     m2 = np.add.reduce(dxhat * xhat, -1, keepdims=True) / d
@@ -536,7 +515,7 @@ def _sublayer_fwd(params, kind, name, ln, x, caches, rng, blocks=None, kv=None,
     """Pre-LN residual x + sublayer(LN(x)) on packed rows. `kind` is attn
     (self-attention), cross (attention over `kv`) or ffn. `blocks` (the
     attention layout) and `past` go to _mha_fwd; `caches` collects the tape."""
-    normed, ln_cache = _ln_fwd(x, params[f"{ln}.g"], params[f"{ln}.b"])
+    normed, ln_cache = _ln_fwd(x, params.tensors[f"{ln}.g"], params.tensors[f"{ln}.b"])
     if kind == "ffn":
         out, sub_cache = _ffn_fwd(params, name, normed, rng)
     else:
@@ -563,9 +542,9 @@ def _check_ids(ids, vocab_size, max_len, what):
     return ids
 
 
-def _decoder_key(params: ParamStore, task) -> str:
-    if (task := _variant(task)) not in params.tasks:
-        raise UnknownTask(f"decoder {task.value!r} not present in this ParamStore")
+def _decoder_key(params: ParamStore, task: TraversalVariant) -> str:
+    if task not in params.tasks:  # a string or any other value too
+        raise UnknownTask(f"no decoder for task {task!r} in this ParamStore")
     return task.value
 
 
@@ -574,20 +553,20 @@ def encode_batch(params: ParamStore, src_ids, rng=None, keep_caches: bool = True
     Returns the packed states, one row per non-PAD position (row-major), and
     the tape. Without `keep_caches` the tape holds no sublayer caches, so
     encode_bwd cannot run on it, but the activations are freed as it goes."""
-    cfg = params.config
+    cfg, t = params.config, params.tensors
     src_ids = _check_ids(src_ids, cfg.src_vocab_size, cfg.max_src_len, "source")
     mask = src_ids != PAD
     if not mask.any(axis=1).all():
         raise EmptyInput("all-PAD source row")
     pack = _pack(mask)
-    x, ids = _embed(params["src_embed"], src_ids, pack)
+    x, ids = _embed(t["src_embed"], src_ids, pack)
     blocks = _layout(pack, pack, cfg.n_heads, cfg.dtype)
     caches = [] if keep_caches else None
     for i in range(cfg.n_enc_layers):
         x = _sublayer_fwd(params, "attn", f"enc.{i}.attn", f"enc.{i}.ln1", x, caches,
                           rng, blocks)
         x = _sublayer_fwd(params, "ffn", f"enc.{i}.ffn", f"enc.{i}.ln2", x, caches, rng)
-    states, lnf_cache = _ln_fwd(x, params["enc.ln_f.g"], params["enc.ln_f.b"])
+    states, lnf_cache = _ln_fwd(x, t["enc.ln_f.g"], t["enc.ln_f.b"])
     tape = {"ids": ids, "mask": mask, "pack": pack, "caches": caches, "lnf": lnf_cache}
     return states, tape
 
@@ -602,7 +581,7 @@ def decode_batch(params: ParamStore, task, states, src_mask, tgt_ids, rng=None):
     pack, src_pack = _pack(tgt_ids != PAD), _pack(np.asarray(src_mask))
     if len(states) != src_pack.offs[-1]:
         raise ShapeMismatch(f"{len(states)} state rows for {src_pack.offs[-1]} sources")
-    x, ids = _embed(params[f"dec.{key}.tgt_embed"], tgt_ids, pack)
+    x, ids = _embed(params.tensors[f"dec.{key}.tgt_embed"], tgt_ids, pack)
     self_blocks = _layout(pack, pack, cfg.n_heads, cfg.dtype, causal=True)
     cross_blocks = _layout(pack, src_pack, cfg.n_heads, cfg.dtype)
     logits, tape = _decoder_stack(params, key, x, [], rng, self_blocks, cross_blocks,
@@ -624,9 +603,9 @@ def _decoder_stack(params, key, x, caches, rng, self_blocks, cross_blocks, state
         x = _sublayer_fwd(params, "cross", f"{name}.cross_attn", f"{name}.ln2", x,
                           caches, rng, cross_blocks, states, cross_past)
         x = _sublayer_fwd(params, "ffn", f"{name}.ffn", f"{name}.ln3", x, caches, rng)
-    normed, lnf_cache = _ln_fwd(x, params[f"dec.{key}.ln_f.g"],
-                                params[f"dec.{key}.ln_f.b"])
-    logits = normed @ params[f"dec.{key}.out.w"] + params[f"dec.{key}.out.b"]
+    t = params.tensors
+    normed, lnf_cache = _ln_fwd(x, t[f"dec.{key}.ln_f.g"], t[f"dec.{key}.ln_f.b"])
+    logits = normed @ t[f"dec.{key}.out.w"] + t[f"dec.{key}.out.b"]
     return logits, {"caches": caches, "lnf": lnf_cache, "normed": normed}
 
 
@@ -652,10 +631,10 @@ def _tape_bwd(dx, caches, params, grads):
     """Pop sublayer caches from the end, so each is freed once its backward
     has run; returns (dx, d_states_accum), both summed in place. Each LayerNorm
     output is rebuilt with the forward's own expression, so bit for bit."""
-    dstates = None
+    t, dstates = params.tensors, None
     while caches:
         kind, name_ln, ln_cache, sub_cache = caches.pop()
-        normed = params[f"{name_ln}.g"] * ln_cache["xhat"] + params[f"{name_ln}.b"]
+        normed = t[f"{name_ln}.g"] * ln_cache["xhat"] + t[f"{name_ln}.b"]
         if kind == "ffn":
             dsub = _ffn_bwd(dx, sub_cache, normed, params, grads)
         else:
@@ -674,7 +653,7 @@ def decode_bwd(dlogits, dec_tape, params, grads):
     key = dec_tape["task"]
     grads[f"dec.{key}.out.w"] += dec_tape["normed"].T @ dlogits
     grads[f"dec.{key}.out.b"] += dlogits.sum(0)
-    dx = dlogits @ params[f"dec.{key}.out.w"].T
+    dx = dlogits @ params.tensors[f"dec.{key}.out.w"].T
     dx = _ln_bwd(dx, dec_tape["lnf"], params, grads, f"dec.{key}.ln_f")
     dx, dstates = _tape_bwd(dx, dec_tape["caches"], params, grads)
     np.add.at(grads[f"dec.{key}.tgt_embed"], dec_tape["ids"], dx)

@@ -44,20 +44,13 @@ class TrainPlan:
     pretrain_lr: float = 1e-5
     finetune_lr: float = 1e-4
     batch_size: int = 16
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    clip_norm: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("pretrain_lr", "finetune_lr", "clip_norm", "eps"):
+        for name in ("pretrain_lr", "finetune_lr"):
             value = getattr(self, name)
             if not 0 < value <= sys.float_info.max:  # NaN and a huge int fail too
                 raise TrainError(f"{name} must be finite and positive, got {value}")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:  # NaN fails too
-                raise TrainError(f"{name} must be in [0, 1), got {getattr(self, name)}")
         if self.batch_size < 1:
             raise TrainError("batch_size must be >= 1")
         if min(self.pretrain_epochs, self.finetune_epochs) < 0:
@@ -89,15 +82,20 @@ class TrainLog:
 # Elements per pass of Adam's in-place update: the chunk's slices of the
 # gradients, moments, parameters and scratch stay in cache between the ops.
 ADAM_CHUNK = 1 << 16
+# Adam's settings. Each is fixed because no command or config file sets it.
+BETA1 = 0.9  # first-moment decay: Adam's published default
+BETA2 = 0.999  # second-moment decay: Adam's published default
+EPS = 1e-8  # Adam's published default; keeps a step finite where v is 0
+CLIP_NORM = 1.0  # global gradient-norm bound; no batch's step can blow up
 
 
 class Adam:
     """Adam with global-norm gradient clipping over spans of the parameter
-    arena. The moments cover the arena from offset `start` to its end, so
-    every span the steps update must start at or after it."""
+    arena, at the constants above. Its moments cover the arena from `start`
+    to the end, so every span the steps update must start at or after it."""
 
-    def __init__(self, plan: TrainPlan, start: int = 0):
-        self.plan, self.start = plan, start
+    def __init__(self, start: int = 0):
+        self.start = start
         self.m = self.v = None  # made at the first step
         self.t = 0
 
@@ -107,7 +105,7 @@ class Adam:
         gradients: at the same offsets of a whole-model gradient arena
         (`model.zero_grads`), or end to end in a one-task one
         (`model.task_grads`). Leaves those gradients zeroed."""
-        plan, flat, base = self.plan, params.flat, self.start
+        flat, base = params.flat, self.start
         if self.m is None:
             self.m = np.zeros(flat.size - base, dtype=flat.dtype)
             self.v = np.zeros_like(self.m)
@@ -123,10 +121,10 @@ class Adam:
         tmp = np.empty(max(p.size for p, *_ in parts), dtype=flat.dtype)
         norm = sum(float(np.square(g, out=tmp[:g.size]).sum())
                    for _, g, _, _ in parts) ** 0.5
-        scale = plan.clip_norm / norm if norm > plan.clip_norm else 1.0
+        scale = CLIP_NORM / norm if norm > CLIP_NORM else 1.0
         self.t += 1
-        bc1 = 1.0 - plan.beta1 ** self.t
-        bc2 = 1.0 - plan.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         # Per element, in this order: m = b1*m + (1-b1)*g;
         # v = b2*v + (1-b2)*g*g; p -= lr*(m/bc1) / (sqrt(v/bc2) + eps).
         for p_span, g_span, m_span, v_span in parts:
@@ -135,12 +133,12 @@ class Adam:
                 p, g, m, v = p_span[lo:hi], g_span[lo:hi], m_span[lo:hi], v_span[lo:hi]
                 t = tmp[:g.size]
                 g *= scale
-                m *= plan.beta1
-                m += np.multiply(g, 1 - plan.beta1, out=t)
-                v *= plan.beta2
-                v += np.multiply(np.multiply(g, 1 - plan.beta2, out=t), g, out=t)
+                m *= BETA1
+                m += np.multiply(g, 1 - BETA1, out=t)
+                v *= BETA2
+                v += np.multiply(np.multiply(g, 1 - BETA2, out=t), g, out=t)
                 np.sqrt(np.divide(v, bc2, out=g), out=g)
-                g += plan.eps
+                g += EPS
                 np.multiply(np.divide(m, bc1, out=t), lr, out=t)
                 p -= np.divide(t, g, out=t)
                 g.fill(0.0)
@@ -183,7 +181,7 @@ def _run_stage(params: ParamStore, plan: TrainPlan, stage: str,
     drop_rng = np.random.default_rng(seed + 1) if params.config.dropout > 0 else None
     grads = model.task_grads(params)
     spans = {task: params.spans(task) for task in tasks}
-    opt = Adam(plan, min(s[0][0] for s in spans.values()))
+    opt = Adam(min(s[0][0] for s in spans.values()))
     log = TrainLog()
     for epoch in range(epochs):
         per_task = [_batches(examples[task], plan.batch_size, rng) for task in tasks]
@@ -249,7 +247,7 @@ def split_by_length(records: list[MwpRecord], config: ModelConfig):
     kept, quarantined = [], []
     for rec in records:
         src_len = len(dataset.tokenize(rec.masked_question))
-        tgt_len = len(expr.traverse(rec.tree(), TraversalVariant.PRE_ORDER)) + 2
+        tgt_len = len(expr.traverse(rec.tree, TraversalVariant.PRE_ORDER)) + 2
         if src_len > config.max_src_len:
             reason = f"source length {src_len} > max_src_len {config.max_src_len}"
         elif tgt_len > config.max_tgt_len:

@@ -186,9 +186,10 @@ def test_c04_causality_and_attention_stochasticity():
                             n_heads=4, dropout=0.0, seed=404)
     params = model.init_params(cfg)
     states, tape = model.encode_batch(params, np.asarray([4, 5, 6, 7])[None])
-    a, dec_tape = model.decode_batch(params, "pre", states, tape["mask"],
+    pre = TraversalVariant.PRE_ORDER
+    a, dec_tape = model.decode_batch(params, pre, states, tape["mask"],
                                      np.asarray([BOS, 4, 5, 6])[None])
-    b, _ = model.decode_batch(params, "pre", states, tape["mask"],
+    b, _ = model.decode_batch(params, pre, states, tape["mask"],
                               np.asarray([BOS, 4, 5, 7])[None])
     np.testing.assert_array_equal(a[:2], b[:2])  # bit-identical earlier rows
 
@@ -221,25 +222,25 @@ def test_c05_multitask_contract():
     # (a) every decoder moved from init
     for task in ("pre", "in", "post"):
         moved = any(
-            not np.array_equal(params[n], init_copy[n])
-            for n in params.names(f"dec.{task}."))
+            not np.array_equal(params.tensors[n], init_copy.tensors[n])
+            for n in params.tensors if n.startswith(f"dec.{task}."))
         assert moved, f"{task} decoder did not change during pretraining"
 
     probe_src = list(examples[TraversalVariant.PRE_ORDER][0].source_ids)
 
     def in_probe():
         states, tape = model.encode_batch(params, np.asarray(probe_src)[None])
-        logits, _ = model.decode_batch(params, "in", states, tape["mask"],
-                                       np.asarray([BOS])[None])
+        logits, _ = model.decode_batch(params, TraversalVariant.IN_ORDER, states,
+                                       tape["mask"], np.asarray([BOS])[None])
         return logits[0].copy()
 
     before_probe = in_probe()
-    frozen = {n: params[n].copy()
-              for n in params.names("dec.in.") + params.names("dec.post.")}
+    frozen = {n: t.copy() for n, t in params.tensors.items()
+              if n.startswith(("dec.in.", "dec.post."))}
     train.finetune(params, examples[TraversalVariant.PRE_ORDER], plan)
     # (b) non-pre decoders bit-identical
     for name, tensor in frozen.items():
-        np.testing.assert_array_equal(params[name], tensor)
+        np.testing.assert_array_equal(params.tensors[name], tensor)
     # (c) shared encoder moved the in-order probe
     assert np.abs(in_probe() - before_probe).max() > 1e-12
 
@@ -292,7 +293,7 @@ def test_c08_overfit_smoke():
     trained = result.trained
     examples = dataset.augment_corpus(records, vocab)
     pre = examples[TraversalVariant.PRE_ORDER]
-    outs = model.greedy_decode(trained.params, "pre",
+    outs = model.greedy_decode(trained.params, TraversalVariant.PRE_ORDER,
                                [list(e.source_ids) for e in pre], 16)
     exact = 0
     for e, out in zip(pre, outs):

@@ -64,7 +64,8 @@ class TestRoundTrip:
         assert loaded.config == params.config
         assert loaded.params.tasks == params.tasks
         for name in params.tensors:
-            np.testing.assert_array_equal(loaded.params[name], params[name])
+            np.testing.assert_array_equal(loaded.params.tensors[name],
+                                          params.tensors[name])
 
     def test_save_is_deterministic(self, tmp_path):
         params, vocab = small_store()
@@ -83,7 +84,7 @@ class TestRoundTrip:
         names = [e["name"] for e in header["manifest"]]
         assert names == sorted(params.tensors)
         payload = blob[12 + hlen:]
-        assert len(payload) == params.size() * 8  # float64
+        assert len(payload) == params.flat.size * 8  # float64
 
 
 class TestMismatch:
@@ -140,7 +141,8 @@ class TestArena:
         loaded = checkpoint.load(tmp_path / "old.mmtm")
         assert loaded.params.flat.tobytes() == params.flat.tobytes()
         for name in params.tensors:
-            assert loaded.params[name].tobytes() == params[name].tobytes()
+            assert (loaded.params.tensors[name].tobytes()
+                    == params.tensors[name].tobytes())
 
     def test_save_load_save_byte_identical(self, tmp_path):
         params, vocab = small_store()

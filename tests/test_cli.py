@@ -461,6 +461,55 @@ class TestEval:
         assert cli.main(["eval", "--checkpoint", checkpoint_path, "--test",
                          str(test), "--report", str(report_path)]) == 0
 
+    @pytest.mark.parametrize("rid", ["x" * 300, "é" * 126],
+                             ids=["300-chars", "257-bytes"])
+    def test_attention_out_refuses_an_id_too_long_for_a_file_name(
+            self, trained_dir, test_path, tmp_path, capsys, rid):
+        """`<id>.json` may be at most 255 bytes of UTF-8. A 300-character id
+        once got report.json and the attention directory written before its
+        own file failed with "File name too long"; 250 characters still fit."""
+        rows = [json.loads(line) for line in test_path.read_text().splitlines()]
+        test = tmp_path / "test.jsonl"
+        report_path, att = tmp_path / "report.json", tmp_path / "att"
+        argv = ["eval", "--checkpoint", str(trained_dir / "checkpoint_final.mmtm"),
+                "--test", str(test), "--report", str(report_path),
+                "--attention-out", str(att)]
+        for first_id, rc in ((rid, 2), ("x" * 250, 0)):
+            rows[0]["id"] = first_id
+            test.write_text("".join(json.dumps(row) + "\n" for row in rows))
+            assert cli.main(argv) == rc
+            if rc:
+                assert f"record id {rid!r} is too long" in capsys.readouterr().err
+                assert sorted(p.name for p in tmp_path.iterdir()) == ["test.jsonl"]
+        assert (att / ("x" * 250 + ".json")).exists()
+
+    def test_report_into_a_missing_directory(self, trained_dir, test_path, tmp_path):
+        report_path = tmp_path / "C2" / "report.json"
+        rc = cli.main(["eval", "--checkpoint",
+                       str(trained_dir / "checkpoint_final.mmtm"),
+                       "--test", str(test_path), "--report", str(report_path)])
+        assert rc == 0
+        assert json.loads(report_path.read_text())["total"] == 6
+
+    def test_report_through_a_file_exit_2_before_decoding(
+            self, trained_dir, test_path, tmp_path, capsys, monkeypatch):
+        """The report's directory is made before decoding: a report path
+        through a regular file once failed only after the whole decode."""
+        (tmp_path / "C2").write_text("")
+        decode, calls = model.greedy_decode, []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return decode(*args, **kwargs)
+
+        monkeypatch.setattr(model, "greedy_decode", spy)
+        rc = cli.main(["eval", "--checkpoint",
+                       str(trained_dir / "checkpoint_final.mmtm"), "--test",
+                       str(test_path), "--report", str(tmp_path / "C2" / "report.json")])
+        assert rc == 2
+        assert "C2" in capsys.readouterr().err
+        assert calls == []
+
     def test_overlength_question_reported_wrong(self, trained_dir, test_path,
                                                 tmp_path):
         test = tmp_path / "test.jsonl"

@@ -141,12 +141,6 @@ class TestVocab:
         for i, tok in enumerate(vocab.tgt_itos):
             assert vocab.tgt_stoi[tok] == i
 
-    def test_min_count_drops_to_unk(self):
-        records = make_records(6, seed=5)
-        vocab = dataset.build_vocab(records, min_count=100)
-        tokens = dataset.tokenize(records[0].masked_question)
-        assert all(i == UNK for i in vocab.encode_src(tokens))
-
     def test_target_vocab_exact_contents(self, tmp_path):
         # corpus using only + and -: reserved + 2 ops + max placeholders
         lines = [

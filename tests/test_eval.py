@@ -39,7 +39,8 @@ class TestPredictAnswer:
         broken = dataset.MwpRecord(
             id=rec.id, question=rec.question, masked_question=rec.masked_question,
             equation=rec.equation, answer=rec.answer,
-            quantities=tuple(), op_count=rec.op_count, op_types=rec.op_types)
+            quantities=tuple(), op_count=rec.op_count, op_types=rec.op_types,
+            tree=rec.tree)
         verdict = evaluate.score(memorized, [broken]).verdicts[0]
         assert not verdict.correct
         assert verdict.failure_reason in ("eval_error", "decode_malformed")
@@ -122,7 +123,7 @@ class TestScore:
             id=rec.id, question=rec.question, masked_question=rec.masked_question,
             equation=rec.equation, answer=rec.answer + 1,
             quantities=rec.quantities, op_count=rec.op_count,
-            op_types=rec.op_types)
+            op_types=rec.op_types, tree=rec.tree)
         report = evaluate.score(memorized, [wrong])
         assert report.accuracy == 0.0
         assert report.cohorts["Full Set"]["accuracy"] == 0.0

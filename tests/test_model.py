@@ -9,6 +9,8 @@ from mmtm import dataset, evaluate, model, train
 from mmtm.dataset import BOS, EOS, PAD, TaskExample
 from mmtm.expr import TraversalVariant
 
+PRE, IN, POST = TraversalVariant
+
 
 def tiny_config(**kv):
     base = dict(src_vocab_size=12, tgt_vocab_size=12, d_model=8, n_heads=2,
@@ -62,12 +64,12 @@ class TestInitParams:
         b = model.init_params(tiny_config())
         assert a.tensors.keys() == b.tensors.keys()
         for name in a.tensors:
-            np.testing.assert_array_equal(a[name], b[name])
+            np.testing.assert_array_equal(a.tensors[name], b.tensors[name])
 
     def test_embedding_init_copied_verbatim(self):
         emb = np.arange(12 * 8, dtype=np.float64).reshape(12, 8)
         params = model.init_params(tiny_config(), embedding_init=emb)
-        np.testing.assert_array_equal(params["src_embed"], emb)
+        np.testing.assert_array_equal(params.tensors["src_embed"], emb)
 
     def test_embedding_shape_mismatch(self):
         with pytest.raises(model.ShapeMismatch):
@@ -77,20 +79,21 @@ class TestInitParams:
         params = model.init_params(tiny_config())
         for task in ("pre", "in", "post"):
             assert f"dec.{task}.tgt_embed" in params.tensors
-        assert len(params.names("enc.")) == len(set(params.names("enc.")))
+        enc = [n for n in params.tensors if n.startswith("enc.")]
+        assert len(enc) == len(set(enc))
 
     def test_param_count_closed_form(self):
         for kv in ({}, {"n_enc_layers": 2, "n_dec_layers": 2},
                    {"d_model": 16, "n_heads": 4}):
             cfg = tiny_config(**kv)
             params = model.init_params(cfg)
-            assert params.size() == model.param_count(cfg)
+            assert params.flat.size == model.param_count(cfg)
 
     def test_subset_tasks(self):
-        params = model.init_params(tiny_config(), tasks=("pre",))
-        assert not params.names("dec.in.")
-        assert not params.names("dec.post.")
-        assert params.size() == model.param_count(tiny_config(), tasks=("pre",))
+        params = model.init_params(tiny_config(), tasks=(PRE,))
+        assert not any(n.startswith("dec.in.") for n in params.tensors)
+        assert not any(n.startswith("dec.post.") for n in params.tensors)
+        assert params.flat.size == model.param_count(tiny_config(), tasks=(PRE,))
 
 
 class TestEncode:
@@ -135,7 +138,7 @@ class TestDecodeStep:
     def test_bos_only_prefix_one_row(self):
         params = model.init_params(tiny_config())
         states, tape = model.encode_batch(params, np.asarray([4, 5])[None])
-        logits, _ = model.decode_batch(params, "pre", states, tape["mask"],
+        logits, _ = model.decode_batch(params, PRE, states, tape["mask"],
                                        np.asarray([BOS])[None])
         assert logits.shape == (1, 12)
 
@@ -144,9 +147,9 @@ class TestDecodeStep:
         states, tape = model.encode_batch(params, np.asarray([4, 5])[None])
         out = {t: model.decode_batch(params, t, states, tape["mask"],
                                      np.asarray([BOS, 4])[None])[0]
-               for t in ("pre", "in", "post")}
-        assert np.abs(out["pre"] - out["in"]).max() > 1e-9
-        assert np.abs(out["in"] - out["post"]).max() > 1e-9
+               for t in TraversalVariant}
+        assert np.abs(out[PRE] - out[IN]).max() > 1e-9
+        assert np.abs(out[IN] - out[POST]).max() > 1e-9
 
     def test_unknown_task(self):
         params = model.init_params(tiny_config())
@@ -155,12 +158,22 @@ class TestDecodeStep:
             model.decode_batch(params, "sideways", states, tape["mask"],
                                np.asarray([BOS])[None])
 
+    def test_task_name_string_refused(self):
+        """A task is a TraversalVariant: its value "pre" was once taken too."""
+        params = model.init_params(tiny_config())
+        states, tape = model.encode_batch(params, np.asarray([4])[None])
+        with pytest.raises(model.UnknownTask, match="'pre'"):
+            model.decode_batch(params, "pre", states, tape["mask"],
+                               np.asarray([BOS])[None])
+        with pytest.raises(model.UnknownTask, match="'pre'"):
+            model.greedy_decode(params, "pre", [[4, 5]], max_len=2)
+
     def test_causality_future_token_cannot_leak(self):
         params = model.init_params(tiny_config())
         states, tape = model.encode_batch(params, np.asarray([4, 5, 6])[None])
-        a, _ = model.decode_batch(params, "pre", states, tape["mask"],
+        a, _ = model.decode_batch(params, PRE, states, tape["mask"],
                                   np.asarray([BOS, 4, 5, 6])[None])
-        b, _ = model.decode_batch(params, "pre", states, tape["mask"],
+        b, _ = model.decode_batch(params, PRE, states, tape["mask"],
                                   np.asarray([BOS, 4, 7, 6])[None])
         # rows before the perturbed position are bit-identical
         np.testing.assert_array_equal(a[:2], b[:2])
@@ -177,7 +190,7 @@ class TestAttention:
     def test_rows_sum_to_one(self):
         params = model.init_params(tiny_config())
         states, tape = model.encode_batch(params, np.asarray([4, 5, 6, 7])[None])
-        _, dec_tape = model.decode_batch(params, "pre", states, tape["mask"],
+        _, dec_tape = model.decode_batch(params, PRE, states, tape["mask"],
                                          np.asarray([BOS, 4, 5])[None])
         for mats in (attention(tape, "attn"), attention(dec_tape, "attn"),
                      attention(dec_tape, "cross")):
@@ -188,7 +201,7 @@ class TestAttention:
     def test_causal_mask_zeroes_future(self):
         params = model.init_params(tiny_config())
         states, tape = model.encode_batch(params, np.asarray([4, 5])[None])
-        _, dec_tape = model.decode_batch(params, "pre", states, tape["mask"],
+        _, dec_tape = model.decode_batch(params, PRE, states, tape["mask"],
                                          np.asarray([BOS, 4, 5])[None])
         for mat in attention(dec_tape, "attn"):
             future = np.triu(np.ones(mat.shape[-2:], dtype=bool), k=1)
@@ -239,13 +252,15 @@ class TestBackward:
     def test_unused_decoder_grads_exactly_zero(self):
         params = model.init_params(tiny_config())
         _, grads = backward(params, self._example())
-        for name in params.names("dec.in.") + params.names("dec.post."):
-            assert np.abs(grads[name]).max() == 0.0
+        for name in params.tensors:
+            if name.startswith(("dec.in.", "dec.post.")):
+                assert np.abs(grads[name]).max() == 0.0
 
     def test_encoder_grads_nonzero(self):
         params = model.init_params(tiny_config())
         _, grads = backward(params, self._example())
-        assert any(np.abs(grads[n]).max() > 0 for n in params.names("enc."))
+        assert any(np.abs(grads[n]).max() > 0
+                   for n in params.tensors if n.startswith("enc."))
         assert np.abs(grads["src_embed"]).max() > 0
 
     def test_deterministic_without_dropout(self):
@@ -260,19 +275,19 @@ class TestBackward:
 class TestGreedyDecode:
     def test_terminates_untrained(self):
         params = model.init_params(tiny_config())
-        [out] = model.greedy_decode(params, "pre", [[4, 5]], max_len=10)
+        [out] = model.greedy_decode(params, PRE, [[4, 5]], max_len=10)
         assert len(out) <= 10
 
     def test_max_len_one(self):
         params = model.init_params(tiny_config())
-        [out] = model.greedy_decode(params, "pre", [[4, 5]], max_len=1)
+        [out] = model.greedy_decode(params, PRE, [[4, 5]], max_len=1)
         assert len(out) <= 1
 
     def test_memorized_model_reproduces_gold(self, memorized, corpus12):
         vocab = memorized.vocab
         examples = dataset.augment_corpus(corpus12, vocab)
         e = examples[TraversalVariant.PRE_ORDER][0]
-        [out] = model.greedy_decode(memorized.params, "pre", [list(e.source_ids)],
+        [out] = model.greedy_decode(memorized.params, PRE, [list(e.source_ids)],
                                     max_len=16)
         assert out == list(e.target_ids)[1:-1]
 
@@ -324,8 +339,8 @@ def mixed_sources(n, seed=4):
 
 
 def assert_matches_reference(params, sources, max_len):
-    got = model.greedy_decode(params, "pre", sources, max_len)
-    assert got == [reference_decode(params, "pre", s, max_len) for s in sources]
+    got = model.greedy_decode(params, PRE, sources, max_len)
+    assert got == [reference_decode(params, PRE, s, max_len) for s in sources]
     return got
 
 
@@ -344,8 +359,8 @@ class TestBatchedDecodeParity:
         # Zero columns make logits 5 and 9 both exactly the bias, whatever
         # order a matrix product sums in; copied nonzero columns need not tie
         # once the product kernel handles the two columns in different panels.
-        params["dec.pre.out.w"][:, [5, 9]] = 0.0
-        params["dec.pre.out.b"][[5, 9]] = 3.0  # the tied pair wins some steps
+        params.tensors["dec.pre.out.w"][:, [5, 9]] = 0.0
+        params.tensors["dec.pre.out.b"][[5, 9]] = 3.0  # the tied pair wins some steps
         got = assert_matches_reference(params, mixed_sources(12), max_len=12)
         emitted = [tok for ids in got for tok in ids]
         assert 5 in emitted and 9 not in emitted
@@ -353,7 +368,7 @@ class TestBatchedDecodeParity:
 
     def test_truncated_row_without_eos(self):
         params = parity_params()
-        params["dec.pre.out.b"][EOS] = -1e9
+        params.tensors["dec.pre.out.b"][EOS] = -1e9
         sources = mixed_sources(5)
         for max_len in (4, 40):  # max_len, then max_tgt_len, sets the limit
             got = assert_matches_reference(params, sources, max_len)
@@ -363,21 +378,21 @@ class TestBatchedDecodeParity:
     def test_row_alone_equals_row_in_padded_batch(self):
         params = parity_params()
         sources = mixed_sources(10)
-        batched = model.greedy_decode(params, "pre", sources, 20)
-        assert batched == [model.greedy_decode(params, "pre", [s], 20)[0]
+        batched = model.greedy_decode(params, PRE, sources, 20)
+        assert batched == [model.greedy_decode(params, PRE, [s], 20)[0]
                            for s in sources]
 
     @pytest.mark.parametrize("eos_bias", [0.0, -1e9])
     def test_cross_trace_matches_full_prefix_pass(self, eos_bias):
         params = parity_params()
-        params["dec.pre.out.b"][EOS] += eos_bias
+        params.tensors["dec.pre.out.b"][EOS] += eos_bias
         sources = mixed_sources(12)
         trace = []
-        got = model.greedy_decode(params, "pre", sources, 20, cross_trace=trace)
+        got = model.greedy_decode(params, PRE, sources, 20, cross_trace=trace)
         assert got == assert_matches_reference(params, sources, 20)  # tracing is inert
         assert len(trace) == len(sources)
         for source, ids, cross in zip(sources, got, trace):
-            expected = reference_cross(params, "pre", source, ids)
+            expected = reference_cross(params, PRE, source, ids)
             assert cross.shape == expected.shape == (2, 4, len(ids) + 1, len(source))
             np.testing.assert_allclose(cross, expected, rtol=0, atol=1e-12)
 
@@ -386,15 +401,15 @@ class TestExportAttentionParity:
     @pytest.mark.parametrize("eos_bias", [0.0, -1e9])
     def test_matches_two_pass_export(self, memorized, corpus12, eos_bias):
         params = memorized.params.copy()
-        params["dec.pre.out.b"][EOS] += eos_bias
+        params.tensors["dec.pre.out.b"][EOS] += eos_bias
         trained = dataclasses.replace(memorized, params=params)
         vocab = memorized.vocab
         for record in corpus12[:4]:
             report = evaluate.export_attention(trained, record)
             source = vocab.encode_src(dataset.tokenize(record.masked_question))
-            ids = reference_decode(params, "pre", source,
+            ids = reference_decode(params, PRE, source,
                                    trained.config.max_tgt_len - 2)
-            cross = reference_cross(params, "pre", source, ids)
+            cross = reference_cross(params, PRE, source, ids)
             assert report["predicted_label"] == vocab.decode_tgt([BOS] + ids)
             assert report["decode_steps"] == len(ids) + 1
             np.testing.assert_allclose(report["weights"],
@@ -501,7 +516,7 @@ def padded_loss_and_grads(params, task, src, tgt_full):
     key_mask = np.where(src != PAD, 0.0, -1e30)[:, None, None, :]
     n_tgt = tgt.shape[1]
     causal = np.where(np.tril(np.ones((n_tgt, n_tgt), dtype=bool)), 0.0, -1e30)
-    enc, dec, dec_key = [], [], f"dec.{task}"
+    enc, dec, dec_key = [], [], f"dec.{task.value}"
     x = t["src_embed"][src] + model.positional_encoding(src.shape[1], cfg.d_model,
                                                         np.float64)
     for i in range(cfg.n_enc_layers):
@@ -555,7 +570,7 @@ BATCHES = {
 class TestPackedTrainingParity:
     @pytest.mark.parametrize("layers,d_model", [(1, 16), (2, 32)])
     @pytest.mark.parametrize("batch", sorted(BATCHES))
-    @pytest.mark.parametrize("task", ["pre", "in", "post"])
+    @pytest.mark.parametrize("task", TraversalVariant, ids=lambda t: t.value)
     def test_loss_and_grads_match_padded_path(self, layers, d_model, batch, task):
         params = model.init_params(tiny_config(d_model=d_model, n_heads=4,
                                                n_enc_layers=layers,
@@ -571,7 +586,7 @@ class TestPackedTrainingParity:
 
 
 class TestPaddingInvariance:
-    @pytest.mark.parametrize("task", ["pre", "in", "post"])
+    @pytest.mark.parametrize("task", TraversalVariant, ids=lambda t: t.value)
     def test_batch_is_token_weighted_sum_of_rows(self, task):
         params = model.init_params(tiny_config(d_model=16, n_heads=4, seed=12))
         src, tgt = random_batch(np.random.default_rng(5), [(2, 3), (15, 14)])
@@ -593,17 +608,19 @@ class TestPaddingInvariance:
                                                seed=13))
         before = params.copy()
         tables = ["src_embed"] + [f"dec.{t}.tgt_embed" for t in ("pre", "in", "post")]
-        opt, rng = train.Adam(train.TrainPlan()), np.random.default_rng(6)
-        for step, task in enumerate(["pre", "in", "post", "pre"]):
+        opt, rng = train.Adam(), np.random.default_rng(6)
+        for step, task in enumerate([PRE, IN, POST, PRE]):
             src, tgt = random_batch(np.random.default_rng(step), BATCHES["mixed"])
             grads = model.loss_and_grads_batch(params, task, src, tgt, rng=rng)[1]
-            assert grads["src_embed"].any() and grads[f"dec.{task}.tgt_embed"].any()
+            assert (grads["src_embed"].any()
+                    and grads[f"dec.{task.value}.tgt_embed"].any())
             for name in tables:
                 assert not grads[name][PAD].any(), name
             opt.step(params, grads, 1e-2, params.spans(task))
         for name in tables:
-            assert params[name][PAD].tobytes() == before[name][PAD].tobytes(), name
-            assert params[name].tobytes() != before[name].tobytes(), name
+            now, then = params.tensors[name], before.tensors[name]
+            assert now[PAD].tobytes() == then[PAD].tobytes(), name
+            assert now.tobytes() != then.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +636,7 @@ class TestAttentionBlocks:
     @settings(max_examples=60)
     @given(lengths=st.lists(st.tuples(st.integers(1, 20), st.integers(2, 10)),
                             min_size=1, max_size=6),
-           task=st.sampled_from(["pre", "in", "post"]),
+           task=st.sampled_from(TraversalVariant),
            block=st.sampled_from([1, 64, model.ATTN_BLOCK]),
            seed=st.integers(0, 2**16))
     def test_any_partition_matches_padded_path(self, lengths, task, block, seed):
@@ -669,14 +686,14 @@ class TestTapeMemory:
         src, tgt = random_batch(rng, lengths, vocab=30)
         tracemalloc.start()
         try:
-            model.loss_and_grads_batch(params, "pre", src, tgt,
+            model.loss_and_grads_batch(params, PRE, src, tgt,
                                        rng=np.random.default_rng(1), grads=grads)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= 50e6, f"step peak {peak / 1e6:.1f} MB"
         states, enc_tape = model.encode_batch(params, src, rng=np.random.default_rng(1))
-        logits, dec_tape = model.decode_batch(params, "pre", states, enc_tape["mask"],
+        logits, dec_tape = model.decode_batch(params, PRE, states, enc_tape["mask"],
                                               tgt[:, :-1], rng=np.random.default_rng(2))
         entries = [entry for tape in (enc_tape, dec_tape) for entry in tape["caches"]]
         caches = [sub for _, _, _, sub in entries]
@@ -799,7 +816,7 @@ class TestLeanBackward:
             states, enc_tape = model.encode_batch(params, src,
                                                   rng=np.random.default_rng(1))
             logits, dec_tape = model.decode_batch(
-                params, "post", states, enc_tape["mask"], tgt[:, :-1],
+                params, POST, states, enc_tape["mask"], tgt[:, :-1],
                 rng=np.random.default_rng(2))
         _, dlogits = model.loss_batch(logits, tgt)
         want = whole_tape_grads(params, enc_tape, dec_tape, dlogits)

@@ -1,6 +1,7 @@
 """Package surface: every public top-level function and class of `src/mmtm`
-has a caller in the package, outside its own body, or in perfbench. Code
-that only tests reach belongs under `tests/`."""
+has a caller in the package, outside its own body, or in perfbench, and
+every public method and property of its classes is read there outside its
+own class. Code that only tests reach belongs under `tests/`."""
 
 import ast
 from pathlib import Path
@@ -26,9 +27,18 @@ def public_definitions() -> dict[str, Path]:
             and not node.name.startswith("_")}
 
 
-def references() -> set[tuple[str, Path, str]]:
-    """(name, file, top-level definition it sits in, or "") for every name
-    and attribute read in the package and in perfbench's non-test modules."""
+def public_methods() -> dict[tuple[str, str], Path]:
+    """(class, name) of every public method and property of a package class."""
+    return {(node.name, item.name): path for path in sorted(PACKAGE.glob("*.py"))
+            for node in ast.parse(path.read_text(encoding="utf-8")).body
+            if isinstance(node, ast.ClassDef) for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")}
+
+
+def references() -> set[tuple[str, Path, str, bool]]:
+    """(name, file, top-level definition it sits in or "", whether it is an
+    attribute) for every name and attribute read in the package and in
+    perfbench's non-test modules."""
     files = sorted(PACKAGE.glob("*.py")) + [
         p for p in sorted(PERFBENCH.glob("*.py")) if not p.name.startswith("test_")]
     out = set()
@@ -37,9 +47,9 @@ def references() -> set[tuple[str, Path, str]]:
             owner = getattr(stmt, "name", "")
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
-                    out.add((node.id, path, owner))
+                    out.add((node.id, path, owner, False))
                 elif isinstance(node, ast.Attribute):
-                    out.add((node.attr, path, owner))
+                    out.add((node.attr, path, owner, True))
     return out
 
 
@@ -47,5 +57,17 @@ def test_every_public_name_has_a_caller_outside_tests():
     refs = references()
     unused = {name for name, path in public_definitions().items()
               if not any(n == name and (p, owner) != (path, name)
-                         for n, p, owner in refs)}
+                         for n, p, owner, _ in refs)}
     assert unused == set(ALLOWED)
+
+
+def test_every_public_method_is_read_outside_its_class():
+    """A method or property counts as read wherever an attribute of its name
+    is read, on any object. So a name that numpy also uses, such as `size`
+    (every array has one), cannot be seen unused this way: `ParamStore.size`
+    went by reading the code, not by this test."""
+    attributes = {(n, p, owner) for n, p, owner, attr in references() if attr}
+    unread = {f"{cls}.{name}" for (cls, name), path in public_methods().items()
+              if not any(n == name and (p, owner) != (path, cls)
+                         for n, p, owner in attributes)}
+    assert unread == set()
