@@ -43,14 +43,16 @@ def _sha256(path: Path) -> str:
 
 
 def _seed(args) -> int:
-    """`--seed`, else the MMTM_SEED environment variable, else 0."""
-    if args.seed is not None:
-        return args.seed
-    text = os.environ.get("MMTM_SEED", "0")
+    """`--seed`, else the MMTM_SEED environment variable, else 0; never negative."""
+    name, text = ("--seed", args.seed) if args.seed is not None else (
+        "MMTM_SEED", os.environ.get("MMTM_SEED", "0"))
     try:
-        return int(text)
+        seed = int(text)
     except ValueError:
-        raise CliInputError(f"MMTM_SEED must be an integer, got {text!r}") from None
+        seed = -1
+    if seed < 0:
+        raise CliInputError(f"{name} must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def _positive_ints(text: str) -> list[int]:
@@ -167,21 +169,20 @@ def _prepare_run(args):
 
 def _refuse_untrainable(records: list, vocab: dataset.Vocab,
                         configs: list[model.ModelConfig], plan: train.TrainPlan,
-                        embeddings, pca_widths):
-    """Refuse, before anything is written, a run that would fail once it
-    starts: no record within the model length limits (which every cell of a
-    sweep shares), a parameter arena of one of `configs` that cannot be
-    allocated, or embeddings that cannot initialise one of `pca_widths`."""
+                        embeddings, pca_widths) -> dict:
+    """Refuse, before anything is written, a run that would fail once it starts:
+    no record within the model length limits (which every cell of a sweep
+    shares), an arena of one of `configs` that cannot be allocated, or embeddings
+    that cannot initialise a `pca_widths` width; else return each one's PCA rows."""
     if not train.split_by_length(records, configs[0])[0]:
         raise train.EmptyTaskDataset(
             f"no examples for task 'pre': all {len(records)} record(s) are over "
             "the model length limits")
     for config in configs:
         model.zero_arena(config, plan.tasks)
-    if embeddings is not None:
-        for width in sorted(set(pca_widths)):
-            pca_init.init_vocab_embeddings(vocab, embeddings, width,
-                                           seed=configs[0].seed)
+    return {width: pca_init.init_vocab_embeddings(vocab, embeddings, width,
+                                                  seed=configs[0].seed)
+            for width in sorted(set(pca_widths)) if embeddings is not None}
 
 
 def _load_test(path: str) -> dataset.CorpusLoad:
@@ -218,8 +219,8 @@ def cmd_train(args) -> int:
     seed, load, embeddings, cfg_kv, plan_kv, plan, vocab = _prepare_run(args)
     config = model.ModelConfig(src_vocab_size=vocab.src_size,
                                tgt_vocab_size=vocab.tgt_size, **cfg_kv)
-    _refuse_untrainable(load.records, vocab, [config], plan, embeddings,
-                        [config.d_model])
+    pca_rows = _refuse_untrainable(load.records, vocab, [config], plan, embeddings,
+                                   [config.d_model])
     out_dir = Path(args.out)
     artifacts = ["checkpoint_final.mmtm", "trainlog_finetune.jsonl"]
     if plan.pretrain_epochs:
@@ -228,8 +229,8 @@ def cmd_train(args) -> int:
     _write_manifest(out_dir, _manifest(
         "train", seed, {"corpus": args.corpus, "embeddings": args.embeddings},
         config=cfg_kv, plan=plan_kv, artifacts=artifacts))
-    result = train.train_pipeline(load.records, config, plan, vocab=vocab,
-                                  embeddings=embeddings)
+    result = train.train_pipeline(load.records, config, plan, vocab,
+                                  pca_rows.get(config.d_model))
     if result.pretrain_params is not None:
         checkpoint.save(out_dir / "checkpoint_pretrain.mmtm",
                         result.pretrain_params, result.trained.vocab)
@@ -264,9 +265,12 @@ def _refuse_attention_ids(records: list):
 def cmd_eval(args) -> int:
     trained = checkpoint.load(args.checkpoint)
     load = _load_test(args.test)
+    if args.report and Path(args.report).is_dir():  # output paths before decoding
+        raise CliInputError(f"--report {args.report} is a directory")
     if args.attention_out:
         _refuse_attention_ids(load.records)
-    if args.report:  # before decoding, so a path that cannot be written fails first
+        Path(args.attention_out).mkdir(parents=True, exist_ok=True)
+    if args.report:
         Path(args.report).parent.mkdir(parents=True, exist_ok=True)
     trace = [] if args.attention_out else None
     report = evaluate.score(trained, load.records, cross_trace=trace,
@@ -274,7 +278,6 @@ def cmd_eval(args) -> int:
     if args.report:
         Path(args.report).write_text(report.to_json(), encoding="utf-8")
     if args.attention_out:
-        Path(args.attention_out).mkdir(parents=True, exist_ok=True)
         for record, verdict, cross in zip(load.records, report.verdicts, trace):
             if cross is not None:  # None: too long to decode
                 path = Path(args.attention_out, f"{record.id}.json")
@@ -295,8 +298,9 @@ def cmd_sweep(args) -> int:
         cfg = dict(cfg_kv, d_model=dim, n_enc_layers=layers, n_dec_layers=layers)
         cells.append((dim, layers, init_kind, model.ModelConfig(
             src_vocab_size=vocab.src_size, tgt_vocab_size=vocab.tgt_size, **cfg)))
-    _refuse_untrainable(load.records, vocab, [cfg for *_, cfg in cells], plan,
-                        embeddings, [dim for dim, _, kind, _ in cells if kind == "pca"])
+    pca_rows = _refuse_untrainable(
+        load.records, vocab, [cfg for *_, cfg in cells], plan, embeddings,
+        [dim for dim, _, kind, _ in cells if kind == "pca"])
     options = {k: v for k, v in cfg_kv.items() if OPTIONS.get(k) not in GRID_FLAGS}
     manifest = _manifest(
         "sweep", seed,
@@ -311,8 +315,8 @@ def cmd_sweep(args) -> int:
         if (dim, layers, init_kind) in done:
             continue
         result = train.train_pipeline(
-            load.records, config, plan, vocab=vocab,
-            embeddings=embeddings if init_kind == "pca" else None)
+            load.records, config, plan, vocab,
+            pca_rows[dim] if init_kind == "pca" else None)
         report = evaluate.score(result.trained, test.records,
                                 quarantined=test.quarantined)
         rows.append({"dim": dim, "layers": layers, "init": init_kind,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -46,9 +47,11 @@ class AnswerMismatch(DatasetError):
 
 @dataclass(frozen=True)
 class MwpRecord:
+    """A validated problem; `tokens` is its masked question, tokenized once."""
+
     id: str
     question: str
-    masked_question: str
+    tokens: tuple[str, ...]
     equation: str  # infix over placeholders
     answer: Fraction
     quantities: tuple[Fraction, ...]
@@ -134,7 +137,8 @@ def make_record(raw: dict, line_no: int = 0) -> MwpRecord:
         masked, quantities = extract_numbers(question)
     except expr.ExprError as e:
         raise MalformedRecord(f"line {line_no} ({rid}): bad question: {e}") from e
-    if not tokenize(masked):
+    tokens = tuple(map(sys.intern, tokenize(masked)))  # records share token strings
+    if not tokens:
         raise MalformedRecord(f"line {line_no} ({rid}): question has no tokens")
     try:
         aligned = _align_equation(equation, quantities)
@@ -151,7 +155,7 @@ def make_record(raw: dict, line_no: int = 0) -> MwpRecord:
     return MwpRecord(
         id=rid,
         question=question,
-        masked_question=masked,
+        tokens=tokens,
         equation=aligned,
         answer=answer,
         quantities=tuple(quantities),
@@ -231,7 +235,7 @@ class Vocab:
 def build_vocab(records: list[MwpRecord]) -> Vocab:
     """Source vocab: every question token seen, sorted; target vocab is
     operators + placeholders + constants seen in gold equations."""
-    src = sorted({t for rec in records for t in tokenize(rec.masked_question)})
+    src = sorted({t for rec in records for t in rec.tokens})
 
     max_ph = 0
     constants: set[str] = set()
@@ -251,13 +255,12 @@ def augment_tokens(records: list[MwpRecord]) -> dict[TraversalVariant, list[dict
     """Token-level task rows, one per record per traversal order."""
     out: dict[TraversalVariant, list[dict]] = {v: [] for v in TraversalVariant}
     for rec in records:
-        source = tokenize(rec.masked_question)
         for variant in TraversalVariant:
             out[variant].append(
                 {
                     "record_id": rec.id,
                     "task": variant.value,
-                    "source": source,
+                    "source": rec.tokens,
                     "target": expr.traverse(rec.tree, variant),
                 }
             )

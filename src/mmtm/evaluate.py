@@ -28,7 +28,7 @@ import numpy as np
 
 from . import expr, model
 from .checkpoint import TrainedModel
-from .dataset import BOS, MwpRecord, tokenize
+from .dataset import BOS, MwpRecord
 from .expr import TraversalVariant
 
 ANSWER_RTOL = Fraction(1, 10000)
@@ -111,12 +111,12 @@ def _predict(trained: TrainedModel, records: list[MwpRecord],
     """One verdict per record, in order, and in `cross_trace` its decode trace.
     A question over max_src_len is not decoded: input_too_long, trace None."""
     vocab, cfg = trained.vocab, trained.config
-    sources = [vocab.encode_src(tokenize(r.masked_question)) for r in records]
+    sources = [vocab.encode_src(r.tokens) for r in records]
     fits = [i for i, src in enumerate(sources) if len(src) <= cfg.max_src_len]
     trace = None if cross_trace is None else []
     decoded = dict(zip(fits, model.greedy_decode(
         trained.params, TraversalVariant.PRE_ORDER, [sources[i] for i in fits],
-        max_len=cfg.max_tgt_len - 2, cross_trace=trace)))
+        cross_trace=trace)))
     if trace is not None:
         cross_trace += map(dict(zip(fits, trace)).get, range(len(records)))
     return [_judge(vocab, record, decoded[i]) if i in decoded
@@ -165,7 +165,7 @@ def attention_report(record: MwpRecord, verdict: Verdict, cross: np.ndarray,
     and heads, summed over the steps: BOS and every predicted token."""
     report = {
         "record_id": record.id,
-        "tokens": tokenize(record.masked_question),
+        "tokens": list(record.tokens),
         "weights": [float(w) for w in cross.mean(axis=(0, 1)).sum(axis=0)],
         "decode_steps": cross.shape[2],
         "predicted_label": verdict.predicted_tokens,

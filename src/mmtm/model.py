@@ -555,10 +555,9 @@ def encode_batch(params: ParamStore, src_ids, rng=None, keep_caches: bool = True
     encode_bwd cannot run on it, but the activations are freed as it goes."""
     cfg, t = params.config, params.tensors
     src_ids = _check_ids(src_ids, cfg.src_vocab_size, cfg.max_src_len, "source")
-    mask = src_ids != PAD
-    if not mask.any(axis=1).all():
+    pack = _pack(src_ids != PAD)
+    if 0 in pack.lens:
         raise EmptyInput("all-PAD source row")
-    pack = _pack(mask)
     x, ids = _embed(t["src_embed"], src_ids, pack)
     blocks = _layout(pack, pack, cfg.n_heads, cfg.dtype)
     caches = [] if keep_caches else None
@@ -567,18 +566,18 @@ def encode_batch(params: ParamStore, src_ids, rng=None, keep_caches: bool = True
                           rng, blocks)
         x = _sublayer_fwd(params, "ffn", f"enc.{i}.ffn", f"enc.{i}.ln2", x, caches, rng)
     states, lnf_cache = _ln_fwd(x, t["enc.ln_f.g"], t["enc.ln_f.b"])
-    tape = {"ids": ids, "mask": mask, "pack": pack, "caches": caches, "lnf": lnf_cache}
+    tape = {"ids": ids, "pack": pack, "caches": caches, "lnf": lnf_cache}
     return states, tape
 
 
-def decode_batch(params: ParamStore, task, states, src_mask, tgt_ids, rng=None):
+def decode_batch(params: ParamStore, task, states, src_pack, tgt_ids, rng=None):
     """Forward one task decoder over a padded (B, T) batch of target prefixes
-    against packed encoder states, one row per True in `src_mask`. Returns
-    packed logits, one row per non-PAD target position, and the tape."""
+    against packed encoder states laid out as `src_pack`, the encoder tape's
+    "pack". Returns packed logits, one per non-PAD target position, and the tape."""
     cfg = params.config
     key = _decoder_key(params, task)
     tgt_ids = _check_ids(tgt_ids, cfg.tgt_vocab_size, cfg.max_tgt_len, "target")
-    pack, src_pack = _pack(tgt_ids != PAD), _pack(np.asarray(src_mask))
+    pack = _pack(tgt_ids != PAD)
     if len(states) != src_pack.offs[-1]:
         raise ShapeMismatch(f"{len(states)} state rows for {src_pack.offs[-1]} sources")
     x, ids = _embed(params.tensors[f"dec.{key}.tgt_embed"], tgt_ids, pack)
@@ -698,7 +697,7 @@ def loss_and_grads_batch(params: ParamStore, task, src_ids, tgt_full, rng=None,
     if grads is None:
         grads = zero_grads(params)
     states, enc_tape = encode_batch(params, src_ids, rng=rng)
-    logits, dec_tape = decode_batch(params, task, states, enc_tape["mask"],
+    logits, dec_tape = decode_batch(params, task, states, enc_tape["pack"],
                                     np.asarray(tgt_full)[:, :-1], rng=rng)
     value, dlogits = loss_batch(logits, tgt_full)
     del logits
@@ -709,12 +708,12 @@ def loss_and_grads_batch(params: ParamStore, task, src_ids, tgt_full, rng=None,
 
 
 def greedy_decode(params: ParamStore, task, sources: Sequence[Sequence[int]],
-                  max_len: int, cross_trace: list | None = None) -> list[list[int]]:
+                  cross_trace: list | None = None) -> list[list[int]]:
     """Greedy argmax decode of every source; returns one id list per source.
 
     Ties break to the lowest id, PAD (which the decoder drops from its input)
-    is never emitted and EOS is not returned. A row stops when it emits EOS,
-    after max_len tokens, or when BOS plus its tokens fill max_tgt_len.
+    is never emitted and EOS is not returned. A row stops when it emits EOS
+    or after max_tgt_len - 2 tokens, so BOS, its tokens and EOS fit.
     Sources are sorted by length and decoded DECODE_CHUNK at a time, so
     chunks carry little padding: each chunk is encoded once, cross-attention
     keys and values are computed once per layer, and each step runs the
@@ -725,7 +724,7 @@ def greedy_decode(params: ParamStore, task, sources: Sequence[Sequence[int]],
     returned token: the position after the last token is scored too.
     """
     key = _decoder_key(params, task)
-    limit = max(0, min(max_len, params.config.max_tgt_len - 1))
+    limit = max(0, params.config.max_tgt_len - 2)
     order = sorted(range(len(sources)), key=lambda i: len(sources[i]))
     rows: list = [None] * len(sources)
     for start in range(0, len(sources), DECODE_CHUNK):

@@ -130,7 +130,7 @@ def init_vocab_embeddings(
     """Source embedding matrix: PCA-projected rows for tokens found in the
     pretrained table, norm-matched Gaussian rows for everything else. Only
     the found tokens' vectors are read, and each must have the table's
-    width."""
+    width and finite values."""
     if d > pretrained.width:
         raise BadDim(f"d={d} exceeds pretrained width {pretrained.width}")
     matched = [(i, tok) for i, tok in enumerate(vocab.src_itos)
@@ -143,6 +143,8 @@ def init_vocab_embeddings(
     for (_, tok), row in zip(matched, rows):
         if row.shape != (pretrained.width,):
             raise BadDim(f"vector for {tok!r} has width {row.shape}")
+        if not np.isfinite(row).all():
+            raise PcaError(f"vector for {tok!r} has a non-finite value")
     stack = np.stack(rows)
     projected, _, _ = pca_project(stack, d)
     out = np.zeros((vocab.src_size, d))

@@ -6,7 +6,7 @@ alone to fine-tune. Every batch updates the shared encoder plus that task's
 decoder only, so fine-tuning never touches the in-order/post-order decoders'
 arena spans, which tests assert by checksum. A plan with `pretrain_epochs` 0
 is the no-pre-training arm: its model has the pre-order decoder only. The
-width and scratch-embedding ablations are `d_model` and no `embeddings`.
+width and scratch-embedding ablations are `d_model` and no `embedding_init`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from . import checkpoint, dataset, expr, model, pca_init
+from . import checkpoint, dataset, expr, model
 from .dataset import MwpRecord, TaskExample, Vocab
 from .expr import TraversalVariant
 from .model import ModelConfig, ParamStore
@@ -246,7 +246,7 @@ def split_by_length(records: list[MwpRecord], config: ModelConfig):
     Every traversal of a tree has the same length, so pre-order stands for all."""
     kept, quarantined = [], []
     for rec in records:
-        src_len = len(dataset.tokenize(rec.masked_question))
+        src_len = len(rec.tokens)
         tgt_len = len(expr.traverse(rec.tree, TraversalVariant.PRE_ORDER)) + 2
         if src_len > config.max_src_len:
             reason = f"source length {src_len} > max_src_len {config.max_src_len}"
@@ -263,22 +263,17 @@ def train_pipeline(
     records: list[MwpRecord],
     config: ModelConfig,
     plan: TrainPlan,
-    vocab: Optional[Vocab] = None,
-    embeddings: Optional[pca_init.PretrainedEmbeddings] = None,
+    vocab: Vocab,
+    embedding_init: Optional[np.ndarray] = None,
 ) -> PipelineResult:
-    """Build the vocabulary from every record given (unless `vocab` is), then
-    quarantine over-length records, init (optionally from PCA of pretrained
-    embeddings), pretrain over all three tasks and fine-tune on pre-order.
-    With `plan.pretrain_epochs` 0 the model has the pre-order decoder only,
-    and nothing pre-trains."""
-    vocab = vocab or dataset.build_vocab(records)
+    """Quarantine over-length records, init the model over `vocab` (its
+    source embedding from `embedding_init`, vocabulary x d_model rows, such
+    as `pca_init.init_vocab_embeddings` returns), pretrain over all three
+    tasks and fine-tune on pre-order. With `plan.pretrain_epochs` 0 the model
+    has the pre-order decoder only, and nothing pre-trains."""
     records, quarantined = split_by_length(records, config)
     config = replace(config, src_vocab_size=vocab.src_size,
                      tgt_vocab_size=vocab.tgt_size)
-    embedding_init = None
-    if embeddings is not None:
-        embedding_init = pca_init.init_vocab_embeddings(
-            vocab, embeddings, config.d_model, seed=config.seed)
     params = model.init_params(config, embedding_init=embedding_init, tasks=plan.tasks)
     examples = dataset.augment_corpus(records, vocab)
     pre_log = pre_snapshot = None

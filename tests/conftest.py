@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 
 import synth
-from mmtm import dataset, evaluate, model, train
+from mmtm import dataset, evaluate, model, pca_init, train
 from mmtm.expr import Constant, Leaf, Node, OPERATORS, Placeholder
 
 
@@ -62,8 +62,10 @@ def run_ablation(arm, train_records, test_records, config, plan, embeddings=None
         config = replace(config, d_model=768, d_ffn=4 * 768)
     if arm == "no_pretrain":
         plan = replace(plan, pretrain_epochs=0)
-    result = train.train_pipeline(train_records, config, plan,
-                                  embeddings=arm_embeddings)
+    vocab = dataset.build_vocab(train_records)
+    rows = None if arm_embeddings is None else pca_init.init_vocab_embeddings(
+        vocab, arm_embeddings, config.d_model, seed=config.seed)
+    result = train.train_pipeline(train_records, config, plan, vocab, rows)
     report = evaluate.score(result.trained, test_records)
     return {
         "arm": arm,

@@ -133,7 +133,7 @@ def _loss_only(params, examples):
         tgt = np.asarray(e.target_ids)[None]
         states, enc_tape = model.encode_batch(params, src)
         logits, _ = model.decode_batch(params, e.task, states,
-                                       enc_tape["mask"], tgt[:, :-1])
+                                       enc_tape["pack"], tgt[:, :-1])
         total += model.loss_batch(logits, tgt)[0]
     return total
 
@@ -187,9 +187,9 @@ def test_c04_causality_and_attention_stochasticity():
     params = model.init_params(cfg)
     states, tape = model.encode_batch(params, np.asarray([4, 5, 6, 7])[None])
     pre = TraversalVariant.PRE_ORDER
-    a, dec_tape = model.decode_batch(params, pre, states, tape["mask"],
+    a, dec_tape = model.decode_batch(params, pre, states, tape["pack"],
                                      np.asarray([BOS, 4, 5, 6])[None])
-    b, _ = model.decode_batch(params, pre, states, tape["mask"],
+    b, _ = model.decode_batch(params, pre, states, tape["pack"],
                               np.asarray([BOS, 4, 5, 7])[None])
     np.testing.assert_array_equal(a[:2], b[:2])  # bit-identical earlier rows
 
@@ -231,7 +231,7 @@ def test_c05_multitask_contract():
     def in_probe():
         states, tape = model.encode_batch(params, np.asarray(probe_src)[None])
         logits, _ = model.decode_batch(params, TraversalVariant.IN_ORDER, states,
-                                       tape["mask"], np.asarray([BOS])[None])
+                                       tape["pack"], np.asarray([BOS])[None])
         return logits[0].copy()
 
     before_probe = in_probe()
@@ -294,7 +294,7 @@ def test_c08_overfit_smoke():
     examples = dataset.augment_corpus(records, vocab)
     pre = examples[TraversalVariant.PRE_ORDER]
     outs = model.greedy_decode(trained.params, TraversalVariant.PRE_ORDER,
-                               [list(e.source_ids) for e in pre], 16)
+                               [list(e.source_ids) for e in pre])
     exact = 0
     for e, out in zip(pre, outs):
         exact += out == list(e.target_ids)[1:-1]
@@ -338,7 +338,7 @@ def test_c10_report_rows_and_ablation_arms():
     rng = np.random.default_rng(1010)
     words = set()
     for rec in records:
-        words.update(dataset.tokenize(rec.masked_question))
+        words.update(rec.tokens)
     embeddings = PretrainedEmbeddings(
         {w: rng.normal(size=32) for w in sorted(words)}, 32)
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import synth
-from mmtm import checkpoint, cli, dataset, evaluate, model, train
+from mmtm import checkpoint, cli, dataset, evaluate, model, pca_init, train
 from mmtm.pca_init import PretrainedEmbeddings
 from conftest import long_question_row, oversized_equation_row, write_embeddings_tsv
 
@@ -48,6 +48,63 @@ def write_embeddings(path, corpus_path, width, shared=True):
         {w if shared else f"zz{w}": rng.normal(size=width) for w in sorted(words)},
         width))
     return path
+
+
+def count_calls(monkeypatch, module, name):
+    """A list that gets the arguments of every call to `module.name`."""
+    calls, original = [], getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestSeed:
+    @pytest.mark.parametrize("command", ["augment", "train", "sweep"])
+    @pytest.mark.parametrize("source", ["--seed", "MMTM_SEED"])
+    def test_negative_seed_exit_2_before_writing(self, corpus_path, test_path, tmp_path,
+                                                 capsys, monkeypatch, command, source):
+        """train and sweep once wrote manifest.json, then ended in numpy's
+        "expected non-negative integer" traceback (exit 1); augment exited 0."""
+        argv = [command, "--corpus", str(corpus_path), "--out", str(tmp_path / "o")]
+        if command == "sweep":
+            argv += ["--test", str(test_path), "--dims", "8"]
+        if source == "--seed":
+            argv += ["--seed", "-1"]
+        else:
+            monkeypatch.setenv("MMTM_SEED", "-1")
+        assert cli.main(argv) == 2
+        assert f"{source} must be a non-negative integer" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestDerivedOnce:
+    """A run tokenizes each question once, when it loads the record, and fits
+    PCA once per width."""
+
+    def test_train(self, corpus_path, tmp_path, monkeypatch):
+        emb = write_embeddings(tmp_path / "emb.tsv", corpus_path, 24)
+        fits = count_calls(monkeypatch, pca_init, "pca_project")
+        tokenized = count_calls(monkeypatch, dataset, "tokenize")
+        assert cli.main(["train", "--corpus", str(corpus_path), "--embeddings",
+                         str(emb)] + fast_train_flags(tmp_path / "o")) == 0
+        assert len(fits) == 1
+        assert len(tokenized) == 12  # the corpus's records
+
+    def test_sweep(self, corpus_path, test_path, tmp_path, monkeypatch):
+        emb = write_embeddings(tmp_path / "emb.tsv", corpus_path, 24)
+        fits = count_calls(monkeypatch, pca_init, "pca_project")
+        tokenized = count_calls(monkeypatch, dataset, "tokenize")
+        assert cli.main(["sweep", "--corpus", str(corpus_path), "--test",
+                         str(test_path), "--embeddings", str(emb), "--out",
+                         str(tmp_path / "s"), "--dims", "8,16", "--layers", "1,2",
+                         "--batch-size", "8", "--pretrain-epochs", "1",
+                         "--finetune-epochs", "1"]) == 0
+        assert sorted(d for _, d in fits) == [8, 16]
+        assert len(tokenized) == 12 + 6  # the corpus's and the test set's records
 
 
 class TestAugment:
@@ -404,6 +461,27 @@ class TestTrain:
         assert message in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_embedding_refused_before_writing(
+            self, corpus_path, test_path, tmp_path, capsys, command, value):
+        """float() reads nan and inf, so each once reached PCA's SVD and ended
+        in a LinAlgError traceback (exit 1)."""
+        words = dataset.build_vocab(dataset.load_corpus(corpus_path).records).src_itos
+        rng = np.random.default_rng(1)
+        vectors = {w: rng.normal(size=16) for w in words}
+        vectors[words[-1]][5] = float(value)
+        emb = tmp_path / "emb.tsv"
+        write_embeddings_tsv(emb, PretrainedEmbeddings(vectors, 16))
+        argv = [command, "--corpus", str(corpus_path), "--embeddings", str(emb),
+                "--out", str(tmp_path / "o")]
+        argv += ["--dim", "16"] if command == "train" else [
+            "--test", str(test_path), "--dims", "16"]
+        assert cli.main(argv) == 2
+        assert f"vector for {words[-1]!r} has a non-finite value" in \
+            capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 @pytest.fixture(scope="module")
 def trained_dir(corpus_path, tmp_path_factory):
@@ -509,6 +587,28 @@ class TestEval:
         assert rc == 2
         assert "C2" in capsys.readouterr().err
         assert calls == []
+
+    @pytest.mark.parametrize("flag", ["--report", "--attention-out"])
+    def test_unwritable_output_exit_2_before_decoding(
+            self, trained_dir, test_path, tmp_path, capsys, monkeypatch, flag):
+        """A --report directory, or an --attention-out regular file, once
+        failed only after decoding every record (and writing report.json)."""
+        report, att = tmp_path / "report.json", tmp_path / "att"
+        if flag == "--report":
+            taken = report
+            report.mkdir()
+        else:
+            taken = att
+            att.write_text("")
+        calls = count_calls(monkeypatch, model, "greedy_decode")
+        rc = cli.main(["eval", "--checkpoint",
+                       str(trained_dir / "checkpoint_final.mmtm"), "--test",
+                       str(test_path), "--report", str(report),
+                       "--attention-out", str(att)])
+        assert rc == 2
+        assert str(taken) in capsys.readouterr().err
+        assert calls == []
+        assert [p.name for p in tmp_path.rglob("*")] == [taken.name]
 
     def test_overlength_question_reported_wrong(self, trained_dir, test_path,
                                                 tmp_path):
@@ -736,7 +836,8 @@ class TestEntryDecisions:
         cfg = model.ModelConfig(src_vocab_size=1, tgt_vocab_size=1, d_model=16, seed=5)
         plan = train.TrainPlan(batch_size=8, pretrain_epochs=1, finetune_epochs=2,
                                finetune_lr=1e-3, seed=5)
-        result = train.train_pipeline(dataset.load_corpus(corpus).records, cfg, plan)
+        records = dataset.load_corpus(corpus).records
+        result = train.train_pipeline(records, cfg, plan, dataset.build_vocab(records))
         assert [q["id"] for q in result.quarantined] == ["long-q"]
         assert result.trained.vocab.src_size == written.vocab.src_size == 82
         for side in ("src_itos", "tgt_itos"):

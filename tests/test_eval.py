@@ -37,7 +37,7 @@ class TestPredictAnswer:
         # force a division by zero through a record whose quantities break it
         rec = corpus12[0]
         broken = dataset.MwpRecord(
-            id=rec.id, question=rec.question, masked_question=rec.masked_question,
+            id=rec.id, question=rec.question, tokens=rec.tokens,
             equation=rec.equation, answer=rec.answer,
             quantities=tuple(), op_count=rec.op_count, op_types=rec.op_types,
             tree=rec.tree)
@@ -120,7 +120,7 @@ class TestScore:
     def test_single_wrong_one_op_record(self, memorized, corpus12):
         rec = next(r for r in corpus12 if r.op_count == 1)
         wrong = dataset.MwpRecord(
-            id=rec.id, question=rec.question, masked_question=rec.masked_question,
+            id=rec.id, question=rec.question, tokens=rec.tokens,
             equation=rec.equation, answer=rec.answer + 1,
             quantities=rec.quantities, op_count=rec.op_count,
             op_types=rec.op_types, tree=rec.tree)
@@ -157,7 +157,7 @@ class TestExportAttention:
     def test_token_order_matches_source(self, memorized, corpus12):
         report = evaluate.export_attention(memorized, corpus12[0])
         assert report["tokens"] == dataset.tokenize(
-            corpus12[0].masked_question)
+            dataset.extract_numbers(corpus12[0].question)[0])
         assert len(report["weights"]) == len(report["tokens"])
 
     def test_overlength_record_raises(self, memorized):

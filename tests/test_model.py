@@ -130,7 +130,8 @@ class TestEncode:
         kept, tape = model.encode_batch(params, src)
         bare, bare_tape = model.encode_batch(params, src, keep_caches=False)
         np.testing.assert_array_equal(kept, bare)
-        np.testing.assert_array_equal(tape["mask"], bare_tape["mask"])
+        for field, bare_field in zip(tape["pack"], bare_tape["pack"]):
+            np.testing.assert_array_equal(field, bare_field)
         assert tape["caches"] and bare_tape["caches"] is None
 
 
@@ -138,14 +139,14 @@ class TestDecodeStep:
     def test_bos_only_prefix_one_row(self):
         params = model.init_params(tiny_config())
         states, tape = model.encode_batch(params, np.asarray([4, 5])[None])
-        logits, _ = model.decode_batch(params, PRE, states, tape["mask"],
+        logits, _ = model.decode_batch(params, PRE, states, tape["pack"],
                                        np.asarray([BOS])[None])
         assert logits.shape == (1, 12)
 
     def test_tasks_give_different_logits(self):
         params = model.init_params(tiny_config())
         states, tape = model.encode_batch(params, np.asarray([4, 5])[None])
-        out = {t: model.decode_batch(params, t, states, tape["mask"],
+        out = {t: model.decode_batch(params, t, states, tape["pack"],
                                      np.asarray([BOS, 4])[None])[0]
                for t in TraversalVariant}
         assert np.abs(out[PRE] - out[IN]).max() > 1e-9
@@ -155,7 +156,7 @@ class TestDecodeStep:
         params = model.init_params(tiny_config())
         states, tape = model.encode_batch(params, np.asarray([4])[None])
         with pytest.raises(model.UnknownTask):
-            model.decode_batch(params, "sideways", states, tape["mask"],
+            model.decode_batch(params, "sideways", states, tape["pack"],
                                np.asarray([BOS])[None])
 
     def test_task_name_string_refused(self):
@@ -163,17 +164,17 @@ class TestDecodeStep:
         params = model.init_params(tiny_config())
         states, tape = model.encode_batch(params, np.asarray([4])[None])
         with pytest.raises(model.UnknownTask, match="'pre'"):
-            model.decode_batch(params, "pre", states, tape["mask"],
+            model.decode_batch(params, "pre", states, tape["pack"],
                                np.asarray([BOS])[None])
         with pytest.raises(model.UnknownTask, match="'pre'"):
-            model.greedy_decode(params, "pre", [[4, 5]], max_len=2)
+            model.greedy_decode(params, "pre", [[4, 5]])
 
     def test_causality_future_token_cannot_leak(self):
         params = model.init_params(tiny_config())
         states, tape = model.encode_batch(params, np.asarray([4, 5, 6])[None])
-        a, _ = model.decode_batch(params, PRE, states, tape["mask"],
+        a, _ = model.decode_batch(params, PRE, states, tape["pack"],
                                   np.asarray([BOS, 4, 5, 6])[None])
-        b, _ = model.decode_batch(params, PRE, states, tape["mask"],
+        b, _ = model.decode_batch(params, PRE, states, tape["pack"],
                                   np.asarray([BOS, 4, 7, 6])[None])
         # rows before the perturbed position are bit-identical
         np.testing.assert_array_equal(a[:2], b[:2])
@@ -190,7 +191,7 @@ class TestAttention:
     def test_rows_sum_to_one(self):
         params = model.init_params(tiny_config())
         states, tape = model.encode_batch(params, np.asarray([4, 5, 6, 7])[None])
-        _, dec_tape = model.decode_batch(params, PRE, states, tape["mask"],
+        _, dec_tape = model.decode_batch(params, PRE, states, tape["pack"],
                                          np.asarray([BOS, 4, 5])[None])
         for mats in (attention(tape, "attn"), attention(dec_tape, "attn"),
                      attention(dec_tape, "cross")):
@@ -201,7 +202,7 @@ class TestAttention:
     def test_causal_mask_zeroes_future(self):
         params = model.init_params(tiny_config())
         states, tape = model.encode_batch(params, np.asarray([4, 5])[None])
-        _, dec_tape = model.decode_batch(params, PRE, states, tape["mask"],
+        _, dec_tape = model.decode_batch(params, PRE, states, tape["pack"],
                                          np.asarray([BOS, 4, 5])[None])
         for mat in attention(dec_tape, "attn"):
             future = np.triu(np.ones(mat.shape[-2:], dtype=bool), k=1)
@@ -274,21 +275,21 @@ class TestBackward:
 
 class TestGreedyDecode:
     def test_terminates_untrained(self):
-        params = model.init_params(tiny_config())
-        [out] = model.greedy_decode(params, PRE, [[4, 5]], max_len=10)
+        params = model.init_params(tiny_config(max_tgt_len=12))
+        [out] = model.greedy_decode(params, PRE, [[4, 5]])
         assert len(out) <= 10
 
     def test_max_len_one(self):
-        params = model.init_params(tiny_config())
-        [out] = model.greedy_decode(params, PRE, [[4, 5]], max_len=1)
+        """max_tgt_len 3 holds BOS, one token and EOS: a budget of one."""
+        params = model.init_params(tiny_config(max_tgt_len=3))
+        [out] = model.greedy_decode(params, PRE, [[4, 5]])
         assert len(out) <= 1
 
     def test_memorized_model_reproduces_gold(self, memorized, corpus12):
         vocab = memorized.vocab
         examples = dataset.augment_corpus(corpus12, vocab)
         e = examples[TraversalVariant.PRE_ORDER][0]
-        [out] = model.greedy_decode(memorized.params, PRE, [list(e.source_ids)],
-                                    max_len=16)
+        [out] = model.greedy_decode(memorized.params, PRE, [list(e.source_ids)])
         assert out == list(e.target_ids)[1:-1]
 
 
@@ -297,14 +298,14 @@ class TestGreedyDecode:
 # ---------------------------------------------------------------------------
 
 
-def reference_decode(params, task, source, max_len):
+def reference_decode(params, task, source):
     """Greedy decode of one source that re-runs decode_batch over the whole
     prefix at every step (ties break to the lowest id; PAD, which is padding
-    and not a token, is never chosen)."""
+    and not a token, is never chosen), for at most max_tgt_len - 2 tokens."""
     states, tape = model.encode_batch(params, np.asarray(source)[None])
     prefix, out = [BOS], []
-    for _ in range(max_len):
-        logits, _ = model.decode_batch(params, task, states, tape["mask"],
+    for _ in range(params.config.max_tgt_len - 2):
+        logits, _ = model.decode_batch(params, task, states, tape["pack"],
                                        np.asarray(prefix)[None])
         scores = logits[-1].copy()
         scores[PAD] = -np.inf
@@ -313,8 +314,6 @@ def reference_decode(params, task, source, max_len):
             break
         out.append(nxt)
         prefix.append(nxt)
-        if len(prefix) >= params.config.max_tgt_len:
-            break
     return out
 
 
@@ -322,7 +321,7 @@ def reference_cross(params, task, source, ids):
     """Cross-attention (layers, heads, steps, src) from one full-prefix pass
     over BOS plus the decoded ids, as attention export used to compute it."""
     states, tape = model.encode_batch(params, np.asarray(source)[None])
-    _, dec_tape = model.decode_batch(params, task, states, tape["mask"],
+    _, dec_tape = model.decode_batch(params, task, states, tape["pack"],
                                      np.asarray([BOS] + ids)[None])
     return np.stack(attention(dec_tape, "cross"))
 
@@ -338,48 +337,47 @@ def mixed_sources(n, seed=4):
             for _ in range(n)]
 
 
-def assert_matches_reference(params, sources, max_len):
-    got = model.greedy_decode(params, PRE, sources, max_len)
-    assert got == [reference_decode(params, PRE, s, max_len) for s in sources]
+def assert_matches_reference(params, sources):
+    got = model.greedy_decode(params, PRE, sources)
+    assert got == [reference_decode(params, PRE, s) for s in sources]
     return got
 
 
 class TestBatchedDecodeParity:
     def test_mixed_source_lengths_in_one_chunk(self):
         params = parity_params()
-        got = assert_matches_reference(params, mixed_sources(12), max_len=20)
+        got = assert_matches_reference(params, mixed_sources(12))
         assert len({len(ids) for ids in got}) > 1  # rows stopped at different steps
 
     def test_batch_larger_than_one_chunk(self):
         sources = mixed_sources(model.DECODE_CHUNK + 9, seed=5)
-        assert_matches_reference(parity_params(), sources, max_len=20)
+        assert_matches_reference(parity_params(), sources)
 
     def test_argmax_tie_breaks_to_lowest_id(self):
-        params = parity_params()
+        params = parity_params(max_tgt_len=14)
         # Zero columns make logits 5 and 9 both exactly the bias, whatever
         # order a matrix product sums in; copied nonzero columns need not tie
         # once the product kernel handles the two columns in different panels.
         params.tensors["dec.pre.out.w"][:, [5, 9]] = 0.0
         params.tensors["dec.pre.out.b"][[5, 9]] = 3.0  # the tied pair wins some steps
-        got = assert_matches_reference(params, mixed_sources(12), max_len=12)
+        got = assert_matches_reference(params, mixed_sources(12))
         emitted = [tok for ids in got for tok in ids]
         assert 5 in emitted and 9 not in emitted
         assert set(emitted) - {5}
 
     def test_truncated_row_without_eos(self):
-        params = parity_params()
-        params.tensors["dec.pre.out.b"][EOS] = -1e9
         sources = mixed_sources(5)
-        for max_len in (4, 40):  # max_len, then max_tgt_len, sets the limit
-            got = assert_matches_reference(params, sources, max_len)
-            limit = min(max_len, params.config.max_tgt_len - 1)
-            assert all(len(ids) == limit for ids in got)
+        for max_tgt_len in (6, 16):  # BOS and EOS take two places of max_tgt_len
+            params = parity_params(max_tgt_len=max_tgt_len)
+            params.tensors["dec.pre.out.b"][EOS] = -1e9
+            got = assert_matches_reference(params, sources)
+            assert all(len(ids) == max_tgt_len - 2 for ids in got)
 
     def test_row_alone_equals_row_in_padded_batch(self):
         params = parity_params()
         sources = mixed_sources(10)
-        batched = model.greedy_decode(params, PRE, sources, 20)
-        assert batched == [model.greedy_decode(params, PRE, [s], 20)[0]
+        batched = model.greedy_decode(params, PRE, sources)
+        assert batched == [model.greedy_decode(params, PRE, [s])[0]
                            for s in sources]
 
     @pytest.mark.parametrize("eos_bias", [0.0, -1e9])
@@ -388,8 +386,8 @@ class TestBatchedDecodeParity:
         params.tensors["dec.pre.out.b"][EOS] += eos_bias
         sources = mixed_sources(12)
         trace = []
-        got = model.greedy_decode(params, PRE, sources, 20, cross_trace=trace)
-        assert got == assert_matches_reference(params, sources, 20)  # tracing is inert
+        got = model.greedy_decode(params, PRE, sources, cross_trace=trace)
+        assert got == assert_matches_reference(params, sources)  # tracing is inert
         assert len(trace) == len(sources)
         for source, ids, cross in zip(sources, got, trace):
             expected = reference_cross(params, PRE, source, ids)
@@ -406,9 +404,8 @@ class TestExportAttentionParity:
         vocab = memorized.vocab
         for record in corpus12[:4]:
             report = evaluate.export_attention(trained, record)
-            source = vocab.encode_src(dataset.tokenize(record.masked_question))
-            ids = reference_decode(params, PRE, source,
-                                   trained.config.max_tgt_len - 2)
+            source = vocab.encode_src(record.tokens)
+            ids = reference_decode(params, PRE, source)
             cross = reference_cross(params, PRE, source, ids)
             assert report["predicted_label"] == vocab.decode_tgt([BOS] + ids)
             assert report["decode_steps"] == len(ids) + 1
@@ -693,7 +690,7 @@ class TestTapeMemory:
             tracemalloc.stop()
         assert peak <= 50e6, f"step peak {peak / 1e6:.1f} MB"
         states, enc_tape = model.encode_batch(params, src, rng=np.random.default_rng(1))
-        logits, dec_tape = model.decode_batch(params, PRE, states, enc_tape["mask"],
+        logits, dec_tape = model.decode_batch(params, PRE, states, enc_tape["pack"],
                                               tgt[:, :-1], rng=np.random.default_rng(2))
         entries = [entry for tape in (enc_tape, dec_tape) for entry in tape["caches"]]
         caches = [sub for _, _, _, sub in entries]
@@ -816,7 +813,7 @@ class TestLeanBackward:
             states, enc_tape = model.encode_batch(params, src,
                                                   rng=np.random.default_rng(1))
             logits, dec_tape = model.decode_batch(
-                params, POST, states, enc_tape["mask"], tgt[:, :-1],
+                params, POST, states, enc_tape["pack"], tgt[:, :-1],
                 rng=np.random.default_rng(2))
         _, dlogits = model.loss_batch(logits, tgt)
         want = whole_tape_grads(params, enc_tape, dec_tape, dlogits)

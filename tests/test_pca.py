@@ -175,6 +175,16 @@ class TestInitVocabEmbeddings:
         with pytest.raises(BadDim, match="'dog'"):
             pca_init.init_vocab_embeddings(vocab, pre, 2, seed=0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vector_rejected_where_used(self, value):
+        vocab = dataset.Vocab(["cat", "dog"], ["+"])
+        pre = self._pretrained(["cat", "dog", "eel"])
+        pre.vectors["eel"][0] = value  # not in the vocabulary: never read
+        assert np.isfinite(pca_init.init_vocab_embeddings(vocab, pre, 2, seed=0)).all()
+        pre.vectors["dog"][3] = value
+        with pytest.raises(PcaError, match="'dog' has a non-finite value"):
+            pca_init.init_vocab_embeddings(vocab, pre, 2, seed=0)
+
     def test_d_exceeds_width(self):
         vocab = dataset.Vocab(["cat", "dog"], ["+"])
         with pytest.raises(BadDim):

@@ -122,7 +122,7 @@ class TestFinetune:
         def probe():
             states, tape = model.encode_batch(params, np.asarray(probe_src)[None])
             logits, _ = model.decode_batch(params, TraversalVariant.IN_ORDER, states,
-                                           tape["mask"], np.asarray([BOS])[None])
+                                           tape["pack"], np.asarray([BOS])[None])
             return logits[0].copy()
 
         before_logits = probe()
@@ -317,7 +317,7 @@ class TestLengthQuarantine:
                                 n_heads=4, seed=8)
         plan = train.TrainPlan(pretrain_epochs=1, finetune_epochs=1,
                                batch_size=16, seed=8)
-        result = train.train_pipeline(records, cfg, plan)
+        result = train.train_pipeline(records, cfg, plan, dataset.build_vocab(records))
         assert [q["id"] for q in result.quarantined] == ["long-q"]
         assert "source length 254 > max_src_len 128" in result.quarantined[0]["reason"]
         assert len(result.finetune_log.steps) == 3  # 40 kept records, batch 16
